@@ -47,7 +47,6 @@ from .minimal import (
     count_by_diamond_type,
     enumerate_basis,
     enumerate_basis_brute,
-    enumerate_basis_compositions,
     is_minimal,
     is_minimal_oracle,
     slice_to_text,
@@ -78,7 +77,6 @@ from .perm import (
 from .posets import (
     DescentComposition,
     DiamondPoset,
-    LadderPoset,
     authorized_labellings,
     build_poset,
     compositions,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Every command is deterministic for fixed arguments (including --seed), and
-identical invocations print byte-identical output, regardless of --jobs.
+identical invocations print byte-identical output.  Slice listings come from
+the labellings of the shape posets, the one production enumeration route.
 Exit codes: 0 for success or a true predicate, 1 for a false predicate
 (``check`` on a non-minimal permutation), 2 for usage or parse errors.
 """
@@ -10,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Iterable, Sequence
 
@@ -45,14 +45,6 @@ FORMATS = ("plain", "json", "bfile", "csv")
 def _values_or_dash(values: Iterable[int]) -> str:
     text = " ".join(str(v) for v in sorted(values))
     return text or "-"
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("PERMDL_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(lines: Iterable[str]) -> None:
@@ -188,7 +180,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             print(count)
         return 0
     _reject_formats(args.format, ("plain", "json", "csv"))
-    basis_slice = enumerate_basis(d, n, jobs=args.jobs)
+    basis_slice = enumerate_basis(d, n)
     members = basis_slice.members
     truncated = args.limit is not None and len(members) > args.limit
     shown = members[: args.limit] if truncated else members
@@ -403,7 +395,6 @@ def cmd_poset(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="plain", help="output format")
-    common.add_argument("--jobs", type=int, default=_default_jobs(), help="parallel workers (env PERMDL_JOBS)")
     common.add_argument("--limit", type=int, default=None, help="truncate long listings")
 
     parser = argparse.ArgumentParser(prog="permdl", description=__doc__)
@@ -464,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
+    if args.limit is not None and args.limit < 1:
+        parser.error("--limit must be at least 1")
     try:
         return args.func(args)
     except ValueError as exc:

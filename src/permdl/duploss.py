@@ -192,12 +192,10 @@ def scenario_from_json(obj: dict) -> Scenario:
     """Parse and validate the wire format; replaying must reproduce ``end``."""
     try:
         n = int(obj["n"])
-        raw_steps = obj["steps"]
-        raw_end = obj["end"]
+        steps = tuple(DuplicationStep(frozenset(int(v) for v in kept)) for kept in obj["steps"])
+        end = Permutation(tuple(int(v) for v in obj["end"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scenario object: {exc}") from None
-    steps = tuple(DuplicationStep(frozenset(int(v) for v in kept)) for kept in raw_steps)
-    end = Permutation(tuple(int(v) for v in raw_end))
     if end.n != n:
         raise ValueError(f"end permutation has size {end.n}, expected {n}")
     scenario = Scenario(identity(n), steps, end)

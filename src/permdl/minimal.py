@@ -8,28 +8,20 @@ descents, with its four-element neighbourhood ordered like 2 1 4 3 or
 by deleting one element at a time, and exists so the two routes can be
 played against each other in tests.
 
-Minimal permutations with d descents have sizes between d+1 and 2d.  The
-slice of a given size can be enumerated either by filtering all n!
-permutations (small n) or by enumerating authorized labellings of the shape
-posets of the descent compositions; the two paths are cross-checked where
-they overlap.
+Minimal permutations with d descents have sizes between d+1 and 2d.  Each
+slice is enumerated from the authorized labellings of the shape posets of
+its descent compositions.  ``enumerate_basis_brute`` filters all n!
+permutations instead; it is kept as the oracle the tests and the golden
+files check the labelling route against.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .perm import Permutation, descent_count
-from .posets import (
-    DescentComposition,
-    authorized_labellings,
-    build_poset,
-    compositions,
-    count_labellings,
-)
+from .posets import DiamondPoset, _labelling_words, build_poset, compositions, count_labellings
 
 __all__ = [
     "BasisSlice",
@@ -38,15 +30,10 @@ __all__ = [
     "count_by_diamond_type",
     "enumerate_basis",
     "enumerate_basis_brute",
-    "enumerate_basis_compositions",
     "is_minimal",
     "is_minimal_oracle",
     "slice_to_text",
 ]
-
-# Brute-force filtering of S_n stays affordable up to this size; beyond it
-# the composition route is the only sane one.
-_BRUTE_SIZE_LIMIT = 9
 
 
 @dataclass(frozen=True)
@@ -66,24 +53,31 @@ class MinimalityReport:
     removable_position: int | None = None
 
 
-def _word_is_minimal(w: tuple[int, ...], d: int) -> bool:
-    # Fast path shared by the enumerators: no report, raw tuples.
+def _window_failure(w: tuple[int, ...], d: int) -> tuple[int | None, int | None] | None:
+    # One left-to-right scan of a raw word.  None means minimal with d
+    # descents; otherwise (bad_ascent, removable_position) names the first
+    # ascent breaking the window rule, or is (None, None) once the descent
+    # count is known to be off.  The pair before an ascent always descends
+    # here: an earlier ascent would have failed already.
     n = len(w)
     count = 0
-    for i in range(n - 1):
+    for i in range(n - 1):  # w[i], w[i+1] sit at one-based positions i+1, i+2
         if w[i] > w[i + 1]:
             count += 1
             if count > d:
-                return False
-        else:
-            if i == 0 or i == n - 2:
-                return False
-            # The pair before an ascent always descends here: a previous
-            # ascent would have returned already.  Require the next pair to
-            # descend and the four values to interleave as 2143 or 3142.
-            if not (w[i + 1] > w[i + 2] and w[i - 1] < w[i + 1] and w[i] < w[i + 2]):
-                return False
-    return count == d
+                return None, None
+            continue
+        if i == 0:
+            return 1, 1  # drop the first element, the ascent survives as a front
+        if i == n - 2:
+            return i + 1, n
+        if w[i + 1] < w[i + 2]:
+            return i + 1, i + 2  # two ascents in a row: the middle element is idle
+        if w[i - 1] > w[i + 1]:
+            return i + 1, i + 1  # neighbourhood like 3 1 2: deleting the 1 keeps counts
+        if w[i] > w[i + 2]:
+            return i + 1, i + 2  # neighbourhood like 2 3 1: deleting the 3 keeps counts
+    return None if count == d else (None, None)
 
 
 def is_minimal(p: Permutation, d: int) -> MinimalityReport:
@@ -97,29 +91,13 @@ def is_minimal(p: Permutation, d: int) -> MinimalityReport:
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    v = p.values
-    n = p.n
-    dc = descent_count(v)
+    failure = _window_failure(p.values, d)
+    if failure is None:
+        return MinimalityReport(True, d)
+    dc = descent_count(p.values)
     if dc != d:
         return MinimalityReport(False, dc)
-
-    def bad(ascent: int, removable: int) -> MinimalityReport:
-        return MinimalityReport(False, dc, bad_ascent=ascent, removable_position=removable)
-
-    for i in range(1, n):  # one-based ascent position i pairs values i and i+1
-        if v[i - 1] > v[i]:
-            continue
-        if i == 1:
-            return bad(i, 1)  # drop the first element, the ascent survives as a front
-        if i == n - 1:
-            return bad(i, n)
-        if v[i] < v[i + 1]:
-            return bad(i, i + 1)  # two ascents in a row: the middle element is idle
-        if v[i - 2] > v[i]:
-            return bad(i, i)  # neighbourhood like 3 1 2: deleting the 1 keeps counts
-        if v[i - 1] > v[i + 1]:
-            return bad(i, i + 1)  # neighbourhood like 2 3 1: deleting the 3 keeps counts
-    return MinimalityReport(True, dc)
+    return MinimalityReport(False, dc, *failure)
 
 
 def is_minimal_oracle(p: Permutation, d: int) -> bool:
@@ -156,71 +134,29 @@ class BasisSlice:
         return len(self.members)
 
 
-@lru_cache(maxsize=None)
-def _brute_words(d: int, n: int) -> tuple[tuple[int, ...], ...]:
-    found = [
-        w
-        for w in itertools.permutations(range(1, n + 1))
-        if _word_is_minimal(w, d)
-    ]
-    found.sort()
-    return tuple(found)
+def enumerate_basis_brute(d: int, n: int) -> BasisSlice:
+    """Filter all n! permutations through the window scan of ``is_minimal``.
 
-
-def _brute_chunk(first: int, d: int, n: int) -> list[tuple[int, ...]]:
-    rest = [v for v in range(1, n + 1) if v != first]
-    return [
-        (first,) + w
-        for w in itertools.permutations(rest)
-        if _word_is_minimal((first,) + w, d)
-    ]
-
-
-def _composition_words(run_lengths: tuple[int, ...]) -> list[tuple[int, ...]]:
-    poset = build_poset(DescentComposition(run_lengths))
-    return [p.values for p in authorized_labellings(poset)]
-
-
-def enumerate_basis_brute(d: int, n: int, jobs: int = 1) -> BasisSlice:
-    """Filter all n! permutations.  Only sensible for small n."""
+    The oracle for ``enumerate_basis``; only sensible for small n.
+    """
     if d < 1:
         raise ValueError("d must be at least 1")
     if n < d + 1 or n > 2 * d:
         return BasisSlice(d, n, ())
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(_brute_chunk, range(1, n + 1), itertools.repeat(d), itertools.repeat(n))
-            words = sorted(w for chunk in chunks for w in chunk)
-    else:
-        words = list(_brute_words(d, n))
-    return BasisSlice(d, n, tuple(Permutation(w) for w in words))
+    # itertools.permutations of a sorted range yields lexicographic order.
+    words = itertools.permutations(range(1, n + 1))
+    return BasisSlice(d, n, tuple(Permutation(w) for w in words if _window_failure(w, d) is None))
 
 
-def enumerate_basis_compositions(d: int, n: int, jobs: int = 1) -> BasisSlice:
-    """Enumerate authorized labellings per descent composition and merge."""
-    if d < 1:
-        raise ValueError("d must be at least 1")
-    comps = compositions(d, n)
-    keys = [c.run_lengths for c in comps]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            groups = list(pool.map(_composition_words, keys))
-    else:
-        groups = [_composition_words(k) for k in keys]
-    words = sorted(w for group in groups for w in group)
-    return BasisSlice(d, n, tuple(Permutation(w) for w in words))
-
-
-def enumerate_basis(d: int, n: int, jobs: int = 1) -> BasisSlice:
+def enumerate_basis(d: int, n: int) -> BasisSlice:
     """The size-n slice of minimal permutations with d descents.
 
-    Sizes outside d+1 .. 2d yield an empty slice.  Small sizes go through
-    the brute-force filter, larger ones through the composition route; both
-    produce the same lexicographically sorted members.
+    Sizes outside d+1 .. 2d yield an empty slice.  Members are the authorized
+    labellings of the shape posets of all descent compositions, merged and
+    sorted lexicographically.
     """
-    if n <= _BRUTE_SIZE_LIMIT:
-        return enumerate_basis_brute(d, n, jobs=jobs)
-    return enumerate_basis_compositions(d, n, jobs=jobs)
+    words = sorted(w for c in compositions(d, n) for w in _labelling_words(build_poset(c)))
+    return BasisSlice(d, n, tuple(Permutation(w) for w in words))
 
 
 def count_basis(d: int, n: int) -> int:
@@ -242,15 +178,14 @@ def count_by_diamond_type(d: int) -> tuple[int, int]:
     """
     if d < 2:
         raise ValueError("the size-(d+2) slice needs d >= 2")
-    n1 = n2 = 0
-    for p in enumerate_basis(d, d + 2).members:
-        v = p.values
-        ascent = next(i for i in range(1, p.n) if v[i - 1] < v[i])  # one-based position
-        if v[ascent - 2] < v[ascent + 1]:  # value before the ascent vs value after it
-            n1 += 1
-        else:
-            n2 += 1
-    return n1, n2
+    n1 = 0
+    for c in compositions(d, d + 2):
+        (i,) = c.ascent_positions()
+        poset = build_poset(c)
+        # Type 2 1 4 3 is the shape poset plus the cover (i-1, i+2): the
+        # value before the ascent lies below the value after it.
+        n1 += count_labellings(DiamondPoset(poset.size, poset.covers | {(i - 1, i + 2)}))
+    return n1, count_basis(d, d + 2) - n1
 
 
 def slice_to_text(s: BasisSlice) -> str:

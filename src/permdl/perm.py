@@ -111,14 +111,6 @@ def parse_permutation(text: str) -> Permutation:
             values.append(int(tok))
         except ValueError:
             raise ValueError(f"not an integer: {tok!r}") from None
-    n = len(values)
-    seen: set[int] = set()
-    for tok, v in zip(tokens, values):
-        if not 1 <= v <= n:
-            raise ValueError(f"value {tok!r} out of range 1..{n}")
-        if v in seen:
-            raise ValueError(f"duplicate value {tok!r}")
-        seen.add(v)
     return Permutation(tuple(values))
 
 

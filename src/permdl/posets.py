@@ -26,7 +26,6 @@ from .perm import Permutation
 __all__ = [
     "DescentComposition",
     "DiamondPoset",
-    "LadderPoset",
     "authorized_labellings",
     "build_poset",
     "compositions",
@@ -122,13 +121,6 @@ class DiamondPoset:
             raise ValueError("cover relation contains a cycle")
 
 
-@dataclass(frozen=True)
-class LadderPoset(DiamondPoset):
-    """The all-ascents shape: two chains of length d joined by d rungs."""
-
-    steps: int
-
-
 def build_poset(composition: DescentComposition) -> DiamondPoset:
     """Shape poset of the minimal permutations with the given composition."""
     covers: set[tuple[int, int]] = set()
@@ -145,7 +137,7 @@ def build_poset(composition: DescentComposition) -> DiamondPoset:
     return DiamondPoset(composition.n, frozenset(covers))
 
 
-def ladder(d: int) -> LadderPoset:
+def ladder(d: int) -> DiamondPoset:
     """Ladder with d steps: the poset of the size-2d minimal permutations.
 
     Odd positions 2i-1 form the upper line, even positions 2i the lower line;
@@ -153,15 +145,41 @@ def ladder(d: int) -> LadderPoset:
     """
     if d < 1:
         raise ValueError("a ladder needs at least one step")
-    base = build_poset(DescentComposition((1,) * d))
-    return LadderPoset(base.size, base.covers, d)
+    return build_poset(DescentComposition((1,) * d))
 
 
-def _upper_neighbours(poset: DiamondPoset) -> dict[int, tuple[int, ...]]:
-    up: dict[int, list[int]] = {x: [] for x in range(1, poset.size + 1)}
+def _upmasks(poset: DiamondPoset) -> list[int]:
+    # upmask[x] has bit y-1 set for every node y covering node x.
+    upmask = [0] * (poset.size + 1)
     for lo, hi in poset.covers:
-        up[lo].append(hi)
-    return {x: tuple(ys) for x, ys in up.items()}
+        upmask[lo] |= 1 << (hi - 1)
+    return upmask
+
+
+def _labelling_words(poset: DiamondPoset) -> list[tuple[int, ...]]:
+    # The down-set walk of count_labellings, recording words instead of
+    # counting.  Every remaining set is a down-set and so has a maximal node:
+    # no branch dead-ends, so every step of the walk leads to output words.
+    n = poset.size
+    upmask = _upmasks(poset)
+    word = [0] * n
+    found: list[tuple[int, ...]] = []
+
+    def assign(mask: int, value: int) -> None:
+        if not mask:
+            found.append(tuple(word))
+            return
+        m = mask
+        while m:
+            bit = m & -m
+            m ^= bit
+            node = bit.bit_length()
+            if upmask[node] & mask == 0:
+                word[node - 1] = value
+                assign(mask ^ bit, value - 1)
+
+    assign((1 << n) - 1, n)
+    return found
 
 
 def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:
@@ -173,27 +191,7 @@ def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:
     scales this project works at (bounded by a Catalan number), so the full
     set is materialized before sorting.
     """
-    n = poset.size
-    up = _upper_neighbours(poset)
-    labels: dict[int, int] = {}
-    unassigned = set(range(1, n + 1))
-    found: list[tuple[int, ...]] = []
-
-    def assign(value: int) -> None:
-        if value == 0:
-            found.append(tuple(labels[pos] for pos in range(1, n + 1)))
-            return
-        for node in sorted(unassigned):
-            if all(u not in unassigned for u in up[node]):
-                unassigned.remove(node)
-                labels[node] = value
-                assign(value - 1)
-                del labels[node]
-                unassigned.add(node)
-
-    assign(n)
-    found.sort()
-    for word in found:
+    for word in sorted(_labelling_words(poset)):
         yield Permutation(word)
 
 
@@ -205,10 +203,7 @@ def count_labellings(poset: DiamondPoset) -> int:
     (a bitmask).  The layered block structure keeps the number of distinct
     down-sets small, far below 2**n.
     """
-    n = poset.size
-    upmask = [0] * (n + 1)
-    for lo, hi in poset.covers:
-        upmask[lo] |= 1 << (hi - 1)
+    upmask = _upmasks(poset)
     memo: dict[int, int] = {0: 1}
 
     def count(mask: int) -> int:
@@ -226,7 +221,7 @@ def count_labellings(poset: DiamondPoset) -> int:
         memo[mask] = total
         return total
 
-    return count((1 << n) - 1)
+    return count((1 << poset.size) - 1)
 
 
 def poset_edges(poset: DiamondPoset) -> str:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from permdl.cli import build_parser, main
+import permdl
+from permdl.cli import main
 
 
 def run(capsys, *argv):
@@ -64,6 +69,14 @@ class TestStats:
         assert code == 2
         assert "x" in err
 
+    def test_invalid_values_exit_2_with_one_line(self, capsys):
+        for text, reason in (("1 1 2", "duplicate value 1"), ("1 5", "value 5 out of range 1..2"), ("0 1", "value 0")):
+            code, out, err = run(capsys, "stats", text)
+            assert code == 2
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert reason in err
+
 
 class TestCheck:
     def test_minimal(self, capsys):
@@ -121,6 +134,15 @@ class TestEnumerate:
         assert out == (
             "# d=3 n=5 count=10\n2 1 5 4 3\n3 1 5 4 2\n3 2 1 5 4\n# truncated at 3\n"
         )
+
+    def test_slice_limit_must_be_positive(self, capsys):
+        for limit in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["enumerate", "-d", "3", "-n", "5", "--limit", limit])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1].endswith("error: --limit must be at least 1")
 
     def test_count_only_bfile(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-d", "3", "-n", "6", "--count-only", "--format", "bfile")
@@ -271,22 +293,14 @@ class TestPoset:
 
 
 class TestParser:
-    def test_jobs_env_default(self, monkeypatch):
-        monkeypatch.setenv("PERMDL_JOBS", "3")
-        args = build_parser().parse_args(["enumerate", "-d", "2"])
-        assert args.jobs == 3
-
-    def test_jobs_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv("PERMDL_JOBS", "many")
-        args = build_parser().parse_args(["enumerate", "-d", "2"])
-        assert args.jobs == 1
-
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
 
-    def test_jobs_must_be_positive(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "-d", "2", "--jobs", "0"])
-        assert exc.value.code == 2
+    def test_import_starts_no_process_machinery(self):
+        code = "import sys, permdl.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        src = str(Path(permdl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -194,5 +194,11 @@ class TestScenarioJson:
             scenario_from_json(data)
 
     def test_bad_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            scenario_from_json({"n": 3, "steps": [[5]], "end": [1, 2, 3]})
+        for data in (
+            {"n": 3, "steps": [[5]], "end": [1, 2, 3]},
+            {"n": 3, "steps": 5, "end": [1, 2, 3]},
+            {"n": 3, "steps": [[1]], "end": 5},
+            {"n": 3, "steps": [5], "end": [1, 2, 3]},
+        ):
+            with pytest.raises(ValueError):
+                scenario_from_json(data)
