@@ -18,6 +18,7 @@ from .bijections import (
     DyckPath,
     EcoNode,
     NonIntervalSubset,
+    classify_s2,
     dyck_to_perm,
     eco_children,
     eco_root,
@@ -36,10 +37,8 @@ from .duploss import (
     synthesize_scenario,
 )
 from .minimal import count_basis, enumerate_basis, is_minimal, slice_to_text
-from .perm import Permutation, descents, maximal_runs, parse_permutation
+from .perm import _integers, descents, maximal_runs, parse_permutation
 from .posets import DescentComposition, build_poset, ladder, poset_edges
-
-FORMATS = ("plain", "json", "bfile", "csv")
 
 
 def _values_or_dash(values: Iterable[int]) -> str:
@@ -52,17 +51,11 @@ def _emit(lines: Iterable[str]) -> None:
         print(line)
 
 
-def _reject_formats(fmt: str, allowed: Sequence[str]) -> None:
-    if fmt not in allowed:
-        raise ValueError(f"format {fmt!r} does not apply here (use {'/'.join(allowed)})")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    _reject_formats(args.format, ("plain", "json", "csv"))
     p = parse_permutation(args.perm)
     ds = descents(p)
     runs = maximal_runs(p).runs
@@ -108,7 +101,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    _reject_formats(args.format, ("plain", "json"))
     p = parse_permutation(args.perm)
     report = is_minimal(p, args.descents)
     if args.format == "json":
@@ -144,42 +136,29 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     d = args.descents
     if d < 1:
         raise ValueError("d must be at least 1")
-    if args.size is None:
-        sizes = list(range(d + 1, 2 * d + 1))
-        counts = [count_basis(d, n) for n in sizes]
-        total = sum(counts)
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "d": d,
-                        "counts": {str(n): c for n, c in zip(sizes, counts)},
-                        "total": total,
-                    }
-                )
-            )
-        elif args.format == "bfile":
-            _emit(f"{n} {c}" for n, c in zip(sizes, counts))
-        elif args.format == "csv":
-            _emit(["n,count"] + [f"{n},{c}" for n, c in zip(sizes, counts)])
-        else:
-            _emit([f"# d={d} sizes {d + 1}..{2 * d}"])
-            _emit(f"{n} {c}" for n, c in zip(sizes, counts))
-            print(f"total {total}")
-        return 0
     n = args.size
-    if args.count_only:
-        count = count_basis(d, n)
-        if args.format == "json":
-            print(json.dumps({"d": d, "n": n, "count": count}))
-        elif args.format == "bfile":
-            print(f"{n} {count}")
+    if n is None or args.count_only:
+        # --count-only is the table of one size.
+        sizes = range(d + 1, 2 * d + 1) if n is None else (n,)
+        counts = {size: count_basis(d, size) for size in sizes}
+        if args.format == "bfile":
+            _emit(f"{size} {c}" for size, c in counts.items())
         elif args.format == "csv":
-            _emit(["n,count", f"{n},{count}"])
+            _emit(["n,count"] + [f"{size},{c}" for size, c in counts.items()])
+        elif args.format == "json" and n is None:
+            table = {str(size): c for size, c in counts.items()}
+            print(json.dumps({"d": d, "counts": table, "total": sum(counts.values())}))
+        elif args.format == "json":
+            print(json.dumps({"d": d, "n": n, "count": counts[n]}))
+        elif n is None:
+            print(f"# d={d} sizes {d + 1}..{2 * d}")
+            _emit(f"{size} {c}" for size, c in counts.items())
+            print(f"total {sum(counts.values())}")
         else:
-            print(count)
+            print(counts[n])
         return 0
-    _reject_formats(args.format, ("plain", "json", "csv"))
+    if args.format == "bfile":
+        raise ValueError("format 'bfile' does not apply here (use plain/json/csv)")
     basis_slice = enumerate_basis(d, n)
     members = basis_slice.members
     truncated = args.limit is not None and len(members) > args.limit
@@ -207,18 +186,21 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _scenario_lines(scenario: Scenario) -> list[str]:
+    # Render each state once: one step's result is the next step's start
+    # and, after the last step, the end.
     lines = []
     current = scenario.start
+    before = str(current)
     for i, step in enumerate(scenario.steps, start=1):
-        after = apply_step(current, step)
-        lines.append(f"step {i}: keep {_values_or_dash(step.kept_first)} | {current} -> {after}")
-        current = after
-    lines.append(f"end: {current}")
+        current = apply_step(current, step)
+        after = str(current)
+        lines.append(f"step {i}: keep {_values_or_dash(step.kept_first)} | {before} -> {after}")
+        before = after
+    lines.append(f"end: {before}")
     return lines
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    _reject_formats(args.format, ("plain", "json"))
     target = parse_permutation(args.perm)
     scenario = synthesize_scenario(target)
     if args.format == "json":
@@ -230,7 +212,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    _reject_formats(args.format, ("plain", "json"))
     scenario = random_evolution(args.size, args.steps, args.seed)
     if args.format == "json":
         print(json.dumps(scenario_to_json(scenario)))
@@ -240,23 +221,10 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_subset(text: str) -> frozenset[int]:
-    tokens = [t for t in text.replace(",", " ").split() if t]
-    if not tokens:
-        raise ValueError("empty subset")
-    values = set()
-    for tok in tokens:
-        try:
-            values.add(int(tok))
-        except ValueError:
-            raise ValueError(f"not an integer: {tok!r}") from None
-    return frozenset(values)
-
-
 def cmd_bijection_dyck(args: argparse.Namespace) -> int:
-    _reject_formats(args.format, ("plain", "json"))
     text = args.arg.strip()
-    if set(text) <= {"U", "D"}:
+    is_path = set(text) <= {"U", "D"}
+    if is_path:
         path = DyckPath(text)
         perm = dyck_to_perm(path)
     else:
@@ -264,7 +232,7 @@ def cmd_bijection_dyck(args: argparse.Namespace) -> int:
         path = perm_to_dyck(perm)
     if args.format == "json":
         print(json.dumps({"path": path.steps, "permutation": list(perm.values)}))
-    elif set(text) <= {"U", "D"}:
+    elif is_path:
         print(perm)
     else:
         print(path.steps)
@@ -274,11 +242,13 @@ def cmd_bijection_dyck(args: argparse.Namespace) -> int:
 def _resolve_subset(args: argparse.Namespace) -> NonIntervalSubset:
     if args.descents is None:
         raise ValueError("-d is required to interpret the subset")
-    return NonIntervalSubset(args.descents, _parse_subset(args.arg))
+    values = _integers(args.arg)
+    if not values:
+        raise ValueError("empty subset")
+    return NonIntervalSubset(args.descents, frozenset(values))
 
 
 def cmd_bijection_phi1(args: argparse.Namespace) -> int:
-    _reject_formats(args.format, ("plain", "json"))
     if args.invert:
         perm = parse_permutation(args.arg)
         subset = phi1_inverse(perm)
@@ -303,11 +273,10 @@ def cmd_bijection_phi1(args: argparse.Namespace) -> int:
 
 
 def cmd_bijection_phi2(args: argparse.Namespace) -> int:
-    _reject_formats(args.format, ("plain", "json"))
     if args.invert:
         perm = parse_permutation(args.arg)
         subset = phi2_inverse(perm)
-        _, cls = phi2(subset)
+        cls = classify_s2(perm)
     else:
         subset = _resolve_subset(args)
         perm, cls = phi2(subset)
@@ -345,7 +314,6 @@ def _tree_json(node: EcoNode, depth: int) -> dict:
 
 
 def cmd_bijection_tree(args: argparse.Namespace) -> int:
-    _reject_formats(args.format, ("plain", "json"))
     if args.depth < 1:
         raise ValueError("depth must be at least 1")
     if args.format == "json":
@@ -368,19 +336,12 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
-    _reject_formats(args.format, ("plain", "json"))
     if (args.composition is None) == (args.ladder is None):
         raise ValueError("give exactly one of --composition or --ladder")
     if args.ladder is not None:
         poset = ladder(args.ladder)
     else:
-        lengths = []
-        for tok in args.composition.replace(",", " ").split():
-            try:
-                lengths.append(int(tok))
-            except ValueError:
-                raise ValueError(f"not an integer: {tok!r}") from None
-        poset = build_poset(DescentComposition(tuple(lengths)))
+        poset = build_poset(DescentComposition(tuple(_integers(args.composition))))
     if args.format == "json":
         print(json.dumps({"size": poset.size, "covers": sorted(list(c) for c in poset.covers)}))
     else:
@@ -393,61 +354,57 @@ def cmd_poset(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="plain", help="output format")
-    common.add_argument("--limit", type=int, default=None, help="truncate long listings")
-
     parser = argparse.ArgumentParser(prog="permdl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_stats = sub.add_parser("stats", parents=[common], help="descents, runs, and step cost of a permutation")
+    def leaf(group, name, func, help, *extra_formats) -> argparse.ArgumentParser:
+        # Each command declares exactly the formats it renders.
+        p = group.add_parser(name, help=help)
+        formats = ("plain", "json", *extra_formats)
+        p.add_argument("--format", choices=formats, default="plain", help="output format")
+        p.set_defaults(func=func)
+        return p
+
+    p_stats = leaf(sub, "stats", cmd_stats, "descents, runs, and step cost of a permutation", "csv")
     p_stats.add_argument("perm", help="permutation, e.g. '6 9 8 4 1 3 7 2 5'")
     p_stats.add_argument("--grid", action="store_true", help="append a dot-grid rendering")
-    p_stats.set_defaults(func=cmd_stats)
 
-    p_check = sub.add_parser("check", parents=[common], help="test minimality for d descents")
+    p_check = leaf(sub, "check", cmd_check, "test minimality for d descents")
     p_check.add_argument("perm")
     p_check.add_argument("-d", "--descents", type=int, required=True)
-    p_check.set_defaults(func=cmd_check)
 
-    p_enum = sub.add_parser("enumerate", parents=[common], help="list or count minimal permutations")
+    p_enum = leaf(sub, "enumerate", cmd_enumerate, "list or count minimal permutations", "bfile", "csv")
+    p_enum.add_argument("--limit", type=int, default=None, help="truncate -n listings")
     p_enum.add_argument("-d", "--descents", type=int, required=True)
     p_enum.add_argument("-n", "--size", type=int, default=None)
     p_enum.add_argument("--count-only", action="store_true")
-    p_enum.set_defaults(func=cmd_enumerate)
 
-    p_scen = sub.add_parser("scenario", parents=[common], help="shortest derivation from the identity")
+    p_scen = leaf(sub, "scenario", cmd_scenario, "shortest derivation from the identity")
     p_scen.add_argument("perm")
-    p_scen.set_defaults(func=cmd_scenario)
 
-    p_bij = sub.add_parser("bijection", parents=[common], help="slice bijections")
+    p_bij = sub.add_parser("bijection", help="slice bijections")
     bij_sub = p_bij.add_subparsers(dest="bijection", required=True)
 
-    b_dyck = bij_sub.add_parser("dyck", parents=[common], help="Dyck path <-> size-2d member")
+    b_dyck = leaf(bij_sub, "dyck", cmd_bijection_dyck, "Dyck path <-> size-2d member")
     b_dyck.add_argument("arg", help="a U/D word, or a permutation to map back")
-    b_dyck.set_defaults(func=cmd_bijection_dyck)
 
     for name, func in (("phi1", cmd_bijection_phi1), ("phi2", cmd_bijection_phi2)):
-        b = bij_sub.add_parser(name, parents=[common], help=f"{name}: subset <-> size-(d+2) member")
+        b = leaf(bij_sub, name, func, f"{name}: subset <-> size-(d+2) member")
         b.add_argument("arg", help="subset '1,2,5' (or a permutation with --invert)")
         b.add_argument("-d", "--descents", type=int, default=None)
         b.add_argument("--invert", action="store_true")
-        b.set_defaults(func=func)
 
-    b_tree = bij_sub.add_parser("tree", parents=[common], help="generating tree of the size-2d slices")
+    b_tree = leaf(bij_sub, "tree", cmd_bijection_tree, "generating tree of the size-2d slices")
     b_tree.add_argument("--depth", type=int, default=4)
-    b_tree.set_defaults(func=cmd_bijection_tree)
 
-    p_evolve = sub.add_parser("evolve", parents=[common], help="random duplication-loss walk")
+    p_evolve = leaf(sub, "evolve", cmd_evolve, "random duplication-loss walk")
     p_evolve.add_argument("-n", "--size", type=int, required=True)
     p_evolve.add_argument("--steps", type=int, required=True)
     p_evolve.add_argument("--seed", type=int, default=0)
-    p_evolve.set_defaults(func=cmd_evolve)
 
-    p_poset = sub.add_parser("poset", parents=[common], help="export a shape poset as an edge list")
+    p_poset = leaf(sub, "poset", cmd_poset, "export a shape poset as an edge list")
     p_poset.add_argument("--composition", default=None, help="descent composition, e.g. '3,3,1,7,2'")
     p_poset.add_argument("--ladder", type=int, default=None, help="ladder with this many steps")
-    p_poset.set_defaults(func=cmd_poset)
 
     return parser
 
@@ -455,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.limit is not None and args.limit < 1:
+    if getattr(args, "limit", None) is not None and args.limit < 1:
         parser.error("--limit must be at least 1")
     try:
         return args.func(args)

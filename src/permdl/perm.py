@@ -102,16 +102,21 @@ def parse_permutation(text: str) -> Permutation:
     >>> parse_permutation("2,1").values
     (2, 1)
     """
-    tokens = text.replace(",", " ").split()
-    if not tokens:
+    values = _integers(text)
+    if not values:
         raise ValueError("empty permutation input")
+    return Permutation(tuple(values))
+
+
+def _integers(text: str) -> list[int]:
+    # Integers separated by commas and/or whitespace; callers refuse empty input.
     values = []
-    for tok in tokens:
+    for tok in text.replace(",", " ").split():
         try:
             values.append(int(tok))
         except ValueError:
             raise ValueError(f"not an integer: {tok!r}") from None
-    return Permutation(tuple(values))
+    return values
 
 
 def descent_count(word: Sequence[int]) -> int:

@@ -18,6 +18,7 @@ Covers are stored as (lower, upper) pairs of positions: the value at
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -78,16 +79,12 @@ def compositions(d: int, n: int) -> list[DescentComposition]:
     parts = n - d
     if parts < 1 or parts > d:
         return []
-
-    def gen(total: int, k: int) -> Iterator[tuple[int, ...]]:
-        if k == 1:
-            yield (total,)
-            return
-        for first in range(1, total - k + 2):
-            for rest in gen(total - first, k - 1):
-                yield (first,) + rest
-
-    return [DescentComposition(t) for t in gen(d, parts)]
+    # The parts are the gaps between parts-1 cut points in 1..d-1; cut tuples
+    # in lexicographic order give the compositions in lexicographic order.
+    return [
+        DescentComposition(tuple(b - a for a, b in zip((0, *cuts), (*cuts, d))))
+        for cuts in itertools.combinations(range(1, d), parts - 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -160,25 +157,29 @@ def _labelling_words(poset: DiamondPoset) -> list[tuple[int, ...]]:
     # The down-set walk of count_labellings, recording words instead of
     # counting.  Every remaining set is a down-set and so has a maximal node:
     # no branch dead-ends, so every step of the walk leads to output words.
+    # An explicit stack of (remaining down-set, node, value given to it)
+    # keeps the depth off the interpreter's recursion limit.  Everything
+    # popped below an entry labels nodes of its remaining down-set only, so
+    # word holds the labels of the whole current path.  Slot 0 is the root's.
     n = poset.size
     upmask = _upmasks(poset)
-    word = [0] * n
+    word = [0] * (n + 1)
     found: list[tuple[int, ...]] = []
-
-    def assign(mask: int, value: int) -> None:
+    stack = [((1 << n) - 1, 0, n + 1)]
+    while stack:
+        mask, node, value = stack.pop()
+        word[node] = value
         if not mask:
-            found.append(tuple(word))
-            return
+            found.append(tuple(word[1:]))
+            continue
+        value -= 1
         m = mask
         while m:
             bit = m & -m
             m ^= bit
             node = bit.bit_length()
             if upmask[node] & mask == 0:
-                word[node - 1] = value
-                assign(mask ^ bit, value - 1)
-
-    assign((1 << n) - 1, n)
+                stack.append((mask ^ bit, node, value))
     return found
 
 
@@ -199,29 +200,25 @@ def count_labellings(poset: DiamondPoset) -> int:
     """Number of authorized labellings, without materializing them.
 
     Dynamic programming over the down-sets of the poset: peel the largest
-    remaining value off a maximal node and memoize on the remaining set
-    (a bitmask).  The layered block structure keeps the number of distinct
-    down-sets small, far below 2**n.
+    remaining value off a maximal node, one value per layer, carrying the
+    number of ways to reach each remaining set (a bitmask).  The layered
+    block structure keeps the number of distinct down-sets small, far below
+    2**n.
     """
     upmask = _upmasks(poset)
-    memo: dict[int, int] = {0: 1}
-
-    def count(mask: int) -> int:
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        total = 0
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            node = bit.bit_length()
-            if upmask[node] & mask == 0:
-                total += count(mask ^ bit)
-        memo[mask] = total
-        return total
-
-    return count((1 << poset.size) - 1)
+    layer = {(1 << poset.size) - 1: 1}
+    for _ in range(poset.size):
+        below: dict[int, int] = {}
+        for mask, ways in layer.items():
+            m = mask
+            while m:
+                bit = m & -m
+                m ^= bit
+                if upmask[bit.bit_length()] & mask == 0:
+                    rest = mask ^ bit
+                    below[rest] = below.get(rest, 0) + ways
+        layer = below
+    return layer[0]
 
 
 def poset_edges(poset: DiamondPoset) -> str:

@@ -60,9 +60,10 @@ class TestStats:
         )
 
     def test_bfile_rejected(self, capsys):
-        code, _, err = run(capsys, "stats", "2 1", "--format", "bfile")
-        assert code == 2
-        assert "error:" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["stats", "2 1", "--format", "bfile"])
+        assert exc.value.code == 2
+        assert "error: argument --format" in capsys.readouterr().err
 
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "stats", "1 x 2")
@@ -297,6 +298,18 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_flags_a_command_ignores_are_refused(self, capsys):
+        for argv in (
+            ["bijection", "--format", "json", "dyck", "UDUD"],
+            ["stats", "--limit", "1", "2 1"],
+            ["bijection", "tree", "--limit", "2"],
+            ["check", "2 1", "-d", "1", "--format", "csv"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
     def test_import_starts_no_process_machinery(self):
         code = "import sys, permdl.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"

@@ -13,6 +13,7 @@ from permdl import (
     authorized_labellings,
     build_poset,
     compositions,
+    count_basis,
     count_labellings,
     descents,
     is_minimal,
@@ -143,5 +144,8 @@ class TestLabellings:
             assert descending_block_composition(p) == comp.run_lengths
 
     def test_one_block_means_reverse_identity(self):
-        poset = build_poset(DescentComposition((4,)))
-        assert [p.values for p in authorized_labellings(poset)] == [(5, 4, 3, 2, 1)]
+        # d = 1200 is far deeper than the interpreter's recursion limit.
+        for d in (4, 1200):
+            poset = build_poset(DescentComposition((d,)))
+            assert [p.values for p in authorized_labellings(poset)] == [tuple(range(d + 1, 0, -1))]
+        assert count_basis(1200, 1201) == 1
