@@ -4,10 +4,14 @@
 The sizes d+1, d+2, and 2d have closed forms; the sizes in between do not,
 so the table and the --series diagonals are computed, never predicted.
 
+Counts come from ``count_basis``, which is polynomial in the size, so
+full tables reach d = 30 in about ten seconds.
+
 Examples:
     python scripts/basis_counts.py --max-d 8
-    python scripts/basis_counts.py --series 3 --max-d 12
-    python scripts/basis_counts.py --series 3 --max-d 12 --bfile
+    python scripts/basis_counts.py --max-d 30
+    python scripts/basis_counts.py --series 3 --max-d 30
+    python scripts/basis_counts.py --series 3 --max-d 30 --bfile
 """
 
 from __future__ import annotations

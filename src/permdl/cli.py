@@ -412,8 +412,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "limit", None) is not None and args.limit < 1:
-        parser.error("--limit must be at least 1")
+    if getattr(args, "limit", None) is not None:
+        if args.limit < 1:
+            parser.error("--limit must be at least 1")
+        if args.size is None or args.count_only:
+            parser.error("--limit applies only to -n listings")
     try:
         return args.func(args)
     except ValueError as exc:

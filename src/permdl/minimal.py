@@ -12,12 +12,16 @@ Minimal permutations with d descents have sizes between d+1 and 2d.  Each
 slice is enumerated from the authorized labellings of the shape posets of
 its descent compositions.  ``enumerate_basis_brute`` filters all n!
 permutations instead; it is kept as the oracle the tests and the golden
-files check the labelling route against.
+files check the labelling route against.  ``count_basis`` counts a slice
+without listing it: since the window rules are local, it scans left to
+right over the relative ranks of the last two values, in time polynomial
+in n.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 from .perm import Permutation, descent_count
@@ -162,12 +166,52 @@ def enumerate_basis(d: int, n: int) -> BasisSlice:
 def count_basis(d: int, n: int) -> int:
     """Number of size-n minimal permutations with d descents.
 
-    Computed by the down-set dynamic program per composition, so no member
-    is materialized.
+    Counted left to right by relative rank, from the window rules of
+    ``is_minimal``: the first and last pairs descend, no two ascents are
+    adjacent, an ascent's top exceeds the value two places back, and the
+    value after an ascent lies above its bottom.  A prefix of length m is
+    summarized by its ascent count k, whether its last pair ascended, the
+    rank b of its last value, and a column over the rank a of its
+    second-last value.  Appending a value of rank r (1..m+1) shifts the old
+    ranks >= r up by one.  No member is materialized.
+
+    >>> [count_basis(4, n) for n in range(5, 9)]
+    [1, 32, 84, 14]
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    return sum(count_labellings(build_poset(c)) for c in compositions(d, n))
+    if not d + 1 <= n <= 2 * d:
+        return 0
+    ascents = n - 1 - d
+
+    def live(m: int, k: int, up: int) -> bool:
+        # Every ascent still to come, and the current one if the last pair
+        # ascended, needs a descent after it.
+        return d - (m - 1 - k) >= ascents - k + up
+
+    # States of the prefixes of length m, keyed (k, up, b); the only prefix
+    # of length 2 is the descent 2 1.
+    states: dict[tuple[int, int, int], list[int]] = {(0, 0, 1): [0, 0, 1]}
+    for m in range(2, n):
+        # Columns of the prefixes of length m+1, indexed by a in 1..m+1.
+        grown: defaultdict[tuple[int, int, int], list[int]] = defaultdict(lambda: [0] * (m + 2))
+        for (k, up, b), column in states.items():
+            below = list(itertools.accumulate(column))  # below[r - 1]: ways with a < r
+            if live(m + 1, k, 0):
+                # Descent to rank r <= b; after an ascent it must clear the
+                # ascent's bottom a.
+                for r in range(1, b + 1):
+                    ways = below[r - 1] if up else below[-1]
+                    if ways:
+                        grown[k, 0, r][b + 1] += ways
+            if not up and k < ascents and live(m + 1, k + 1, 1):
+                # Ascent to rank r > b, whose top must clear a.
+                for r in range(b + 1, m + 2):
+                    if below[r - 1]:
+                        grown[k + 1, 1, r][b] += below[r - 1]
+        states = grown
+    # At length n, live states have exactly n-1-d ascents and end descending.
+    return sum(sum(column) for column in states.values())
 
 
 def count_by_diamond_type(d: int) -> tuple[int, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from permdl import DuplicationStep, Permutation, apply_step
+from permdl import DuplicationStep, Permutation, apply_step, build_poset, compositions, count_labellings
 
 
 def standardized(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -49,6 +49,16 @@ def definition_minimal(p: Permutation, d: int) -> bool:
             if descent_total(tuple(values[i] for i in idx)) == d:
                 return False
     return True
+
+
+def composition_count(d: int, n: int) -> int:
+    """Size-n minimal permutations with d descents, one descent composition at a time.
+
+    Sums the down-set count of each composition's shape poset, an argument
+    independent of the left-to-right rank counter behind ``count_basis``.
+    Exponential in d; keep d small.
+    """
+    return sum(count_labellings(build_poset(c)) for c in compositions(d, n))
 
 
 @lru_cache(maxsize=None)

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import permdl
+from permdl import count_basis
 from permdl.cli import main
 
 
@@ -144,6 +146,28 @@ class TestEnumerate:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.splitlines()[-1].endswith("error: --limit must be at least 1")
+
+    def test_limit_refused_without_listing(self, capsys):
+        for argv in (
+            ["enumerate", "-d", "3", "--limit", "1"],
+            ["enumerate", "-d", "3", "-n", "5", "--count-only", "--limit", "1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1].endswith("error: --limit applies only to -n listings")
+
+    def test_count_only_far_beyond_listing(self, capsys):
+        # (30, 45) has 77.5 million descent compositions; (1200, 1201) one of
+        # 1201 elements.  Neither may take long.
+        for d, n, want in ((30, 45, count_basis(30, 45)), (1200, 1201, 1)):
+            start = time.perf_counter()
+            code, out, _ = run(capsys, "enumerate", "-d", str(d), "-n", str(n), "--count-only")
+            assert time.perf_counter() - start < 1.0
+            assert code == 0
+            assert out == f"{want}\n"
 
     def test_count_only_bfile(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-d", "3", "-n", "6", "--count-only", "--format", "bfile")

@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -21,7 +22,7 @@ from permdl import (
     standardize,
 )
 
-from helpers import definition_minimal
+from helpers import composition_count, definition_minimal
 
 
 def closed_form_slice_count(d: int) -> int:
@@ -158,6 +159,24 @@ class TestEnumerate:
         if s.members:
             p = data.draw(st.sampled_from(s.members))
             assert is_minimal(p, d).is_minimal
+
+
+class TestCountBasis:
+    def test_matches_composition_oracle(self):
+        for d in range(1, 12):
+            for n in range(1, 2 * d + 3):
+                assert count_basis(d, n) == composition_count(d, n), (d, n)
+
+    def test_closed_forms_to_d_60(self):
+        for d in range(1, 61):
+            assert count_basis(d, d + 1) == 1
+            assert count_basis(d, d + 2) == closed_form_slice_count(d)
+            assert count_basis(d, 2 * d) == comb(2 * d, d) // (d + 1)
+
+    def test_zero_outside_d_plus_1_to_2d(self):
+        for d in range(1, 61):
+            for n in [*range(d + 1), 2 * d + 1, 2 * d + 2]:
+                assert count_basis(d, n) == 0, (d, n)
 
 
 class TestDiamondTypes:
