@@ -91,7 +91,7 @@ def dyck_to_perm(path: DyckPath) -> Permutation:
     for upper, lower in zip(downs, ups):
         word.append(upper)
         word.append(lower)
-    return Permutation(tuple(word))
+    return Permutation._trusted(tuple(word))
 
 
 def perm_to_dyck(p: Permutation) -> DyckPath:
@@ -146,7 +146,11 @@ def eco_children(node: EcoNode) -> list[EcoNode]:
     kids = []
     for i in range(two_d + 1, two_d + 1 - node.label, -1):
         shifted = tuple(x + 1 if x >= i else x for x in v)
-        kids.append(EcoNode(Permutation(shifted + (two_d + 2, i))))
+        # The rule keeps minimality, so the checks of EcoNode and
+        # Permutation are skipped for the child.
+        kid = object.__new__(EcoNode)
+        object.__setattr__(kid, "perm", Permutation._trusted(shifted + (two_d + 2, i)))
+        kids.append(kid)
     return kids
 
 
@@ -225,7 +229,7 @@ def phi1(s: NonIntervalSubset) -> Permutation:
         + (s.d + 2,)
         + tuple(sorted(s.complement, reverse=True))
     )
-    return Permutation(word)
+    return Permutation._trusted(word)
 
 
 def _single_ascent(v: tuple[int, ...]) -> int:
@@ -345,7 +349,7 @@ def phi2(s: NonIntervalSubset) -> tuple[Permutation, S2Classification]:
             tail = (full, full - 1) + tuple(range(size - 2, 0, -1))
             head = tuple(range(d, size - 2, -1))
             word = head + tail
-    perm = Permutation(word)
+    perm = Permutation._trusted(word)
     return perm, classify_s2(perm)
 
 

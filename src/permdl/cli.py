@@ -2,17 +2,22 @@
 
 Every command is deterministic for fixed arguments (including --seed), and
 identical invocations print byte-identical output.  Slice listings come from
-the labellings of the shape posets, the one production enumeration route.
-Exit codes: 0 for success or a true predicate, 1 for a false predicate
-(``check`` on a non-minimal permutation), 2 for usage or parse errors.
+the labellings of the shape posets, the one production enumeration route,
+and are rendered from those raw words: the library built them, so they are
+not checked again on the way out.  A listing or a generating tree with more
+than MAX_LISTED members is refused before anything is built; counts stay
+available through --count-only.  Exit codes: 0 for success or a true
+predicate, 1 for a false predicate (``check`` on a non-minimal permutation),
+2 for usage or parse errors and refused requests.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bijections import (
     DyckPath,
@@ -36,19 +41,37 @@ from .duploss import (
     scenario_to_json,
     synthesize_scenario,
 )
-from .minimal import count_basis, enumerate_basis, is_minimal, slice_to_text
+from .minimal import _slice_words, count_basis, is_minimal
 from .perm import _integers, descents, maximal_runs, parse_permutation
 from .posets import DescentComposition, build_poset, ladder, poset_edges
 
 
 def _values_or_dash(values: Iterable[int]) -> str:
-    text = " ".join(str(v) for v in sorted(values))
+    text = " ".join(map(str, sorted(values)))
     return text or "-"
+
+
+# The most members a listing, or nodes a tree, may hold: a larger answer is
+# refused up front, since it is built whole in memory before it is printed.
+MAX_LISTED = 10**6
+
+# Lines per write in listings and trees, so that a long one is never held
+# as text all at once.
+_CHUNK_LINES = 1 << 14
 
 
 def _emit(lines: Iterable[str]) -> None:
     for line in lines:
         print(line)
+
+
+def _emit_listing(lines: Iterable[str]) -> None:
+    # Listings and trees have many short lines: a few large writes cost less
+    # than a print per line.  Other output keeps _emit, whose lines can be
+    # megabytes long (a scenario at n = 10^5), where joining would copy them.
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +96,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    runs_text = " | ".join(" ".join(str(v) for v in r) for r in runs)
+    runs_text = " | ".join(" ".join(map(str, r)) for r in runs)
     if args.format == "csv":
         _emit(
             [
@@ -159,29 +182,35 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return 0
     if args.format == "bfile":
         raise ValueError("format 'bfile' does not apply here (use plain/json/csv)")
-    basis_slice = enumerate_basis(d, n)
-    members = basis_slice.members
-    truncated = args.limit is not None and len(members) > args.limit
-    shown = members[: args.limit] if truncated else members
+    # The whole slice is built before --limit truncates it, so the cap holds
+    # with or without --limit.
+    count = count_basis(d, n)
+    if count > MAX_LISTED:
+        raise ValueError(
+            f"the d={d} n={n} slice has {count} members, more than the {MAX_LISTED} "
+            "a listing may hold; use --count-only"
+        )
+    words = _slice_words(d, n)
+    truncated = args.limit is not None and len(words) > args.limit
+    shown = words[: args.limit] if truncated else words
     if args.format == "json":
-        payload = {
-            "d": d,
-            "n": n,
-            "count": basis_slice.count,
-            "members": [list(p.values) for p in shown],
-        }
+        payload = {"d": d, "n": n, "count": len(words), "members": [list(w) for w in shown]}
         if truncated:
             payload["truncated"] = True
         print(json.dumps(payload))
-    elif args.format == "csv":
-        _emit(["index,permutation"] + [f"{i},{p}" for i, p in enumerate(shown, start=1)])
-        if truncated:
-            print(f"# truncated at {args.limit}")
+        return 0
+    trailer = [f"# truncated at {args.limit}"] if truncated else []
+    names = [str(v) for v in range(n + 1)]
+
+    def render(w: tuple[int, ...]) -> str:
+        return " ".join(map(names.__getitem__, w))
+
+    if args.format == "csv":
+        rows = (f"{i},{render(w)}" for i, w in enumerate(shown, start=1))
+        _emit_listing(itertools.chain(["index,permutation"], rows, trailer))
     else:
-        print(f"# d={d} n={n} count={basis_slice.count}")
-        _emit(str(p) for p in shown)
-        if truncated:
-            print(f"# truncated at {args.limit}")
+        header = f"# d={d} n={n} count={len(words)}"
+        _emit_listing(itertools.chain([header], map(render, shown), trailer))
     return 0
 
 
@@ -316,21 +345,28 @@ def _tree_json(node: EcoNode, depth: int) -> dict:
 def cmd_bijection_tree(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise ValueError("depth must be at least 1")
+    # Level t holds the size-2t slice; stop summing once past the cap.
+    nodes = 0
+    for t in range(1, args.depth + 1):
+        nodes += count_basis(t, 2 * t)
+        if nodes > MAX_LISTED:
+            raise ValueError(
+                f"a tree of depth {args.depth} has more than {MAX_LISTED} nodes; "
+                "count level t with 'enumerate -d t -n 2t --count-only'"
+            )
     if args.format == "json":
         print(json.dumps({"depth": args.depth, "root": _tree_json(eco_root(), args.depth)}))
         return 0
-    sizes = []
+    sizes = [0] * args.depth
 
-    def walk(node: EcoNode, level: int) -> None:
-        if len(sizes) < level:
-            sizes.append(0)
+    def walk(node: EcoNode, level: int) -> Iterator[str]:
         sizes[level - 1] += 1
-        print(f"{'  ' * (level - 1)}{node.perm}")
+        yield f"{'  ' * (level - 1)}{node.perm}"
         if level < args.depth:
             for kid in eco_children(node):
-                walk(kid, level + 1)
+                yield from walk(kid, level + 1)
 
-    walk(eco_root(), 1)
+    _emit_listing(walk(eco_root(), 1))
     print(f"level sizes: {' '.join(str(s) for s in sizes)}")
     return 0
 

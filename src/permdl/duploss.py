@@ -64,7 +64,7 @@ def apply_step(p: Permutation, step: DuplicationStep) -> Permutation:
         raise ValueError(f"kept values not in the permutation: {sorted(extra)}")
     kept = tuple(v for v in p.values if v in step.kept_first)
     lost = tuple(v for v in p.values if v not in step.kept_first)
-    return Permutation(kept + lost)
+    return Permutation._trusted(kept + lost)
 
 
 def min_steps(p: Permutation) -> int:
@@ -125,7 +125,7 @@ def synthesize_scenario(target: Permutation) -> Scenario:
             block = runs[i] + (runs[i + m] if i + m < k else ())
             merged.append(tuple(sorted(block)))
         steps.append(DuplicationStep(frozenset(v for r in runs[:m] for v in r)))
-        current = Permutation(tuple(itertools.chain.from_iterable(merged)))
+        current = Permutation._trusted(tuple(itertools.chain.from_iterable(merged)))
     steps.reverse()
     return Scenario(identity(target.n), tuple(steps), target)
 

@@ -152,15 +152,21 @@ def enumerate_basis_brute(d: int, n: int) -> BasisSlice:
     return BasisSlice(d, n, tuple(Permutation(w) for w in words if _window_failure(w, d) is None))
 
 
+def _slice_words(d: int, n: int) -> list[tuple[int, ...]]:
+    # The members of the size-n slice as raw words, sorted.  Every labelling
+    # word is a minimal permutation already, so callers need not check them.
+    return sorted(w for c in compositions(d, n) for w in _labelling_words(build_poset(c)))
+
+
 def enumerate_basis(d: int, n: int) -> BasisSlice:
     """The size-n slice of minimal permutations with d descents.
 
     Sizes outside d+1 .. 2d yield an empty slice.  Members are the authorized
     labellings of the shape posets of all descent compositions, merged and
-    sorted lexicographically.
+    sorted lexicographically.  They are permutations by construction, so they
+    are wrapped without running the checks of ``Permutation`` again.
     """
-    words = sorted(w for c in compositions(d, n) for w in _labelling_words(build_poset(c)))
-    return BasisSlice(d, n, tuple(Permutation(w) for w in words))
+    return BasisSlice(d, n, tuple(Permutation._trusted(w) for w in _slice_words(d, n)))
 
 
 def count_basis(d: int, n: int) -> int:

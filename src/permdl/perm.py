@@ -58,6 +58,15 @@ class Permutation:
                 raise ValueError(f"duplicate value {v}")
             seen[v] = True
 
+    @classmethod
+    def _trusted(cls, values: tuple[int, ...]) -> Permutation:
+        # For tuples the library itself built as permutations of 1..n: skips
+        # the range and duplicate loop above.  Input from outside the package
+        # goes through Permutation(...) or parse_permutation.
+        p = object.__new__(cls)
+        object.__setattr__(p, "values", values)
+        return p
+
     @property
     def n(self) -> int:
         return len(self.values)
@@ -69,7 +78,7 @@ class Permutation:
         return iter(self.values)
 
     def __str__(self) -> str:
-        return " ".join(str(v) for v in self.values)
+        return " ".join(map(str, self.values))
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:
     set is materialized before sorting.
     """
     for word in sorted(_labelling_words(poset)):
-        yield Permutation(word)
+        yield Permutation._trusted(word)
 
 
 def count_labellings(poset: DiamondPoset) -> int:

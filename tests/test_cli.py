@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import permdl
-from permdl import count_basis
+from permdl import cli, count_basis, enumerate_basis, generating_tree, slice_to_text
 from permdl.cli import main
 
 
@@ -182,6 +182,85 @@ class TestEnumerate:
     def test_bad_d(self, capsys):
         code, _, err = run(capsys, "enumerate", "-d", "0")
         assert code == 2
+
+
+class TestListingRoute:
+    """The raw-word listing against the public ``enumerate_basis`` route."""
+
+    def test_plain_equals_slice_to_text(self, capsys):
+        for n in range(0, 11):
+            for d in range(1, 11):
+                code, out, err = run(capsys, "enumerate", "-d", str(d), "-n", str(n))
+                assert code == 0 and err == ""
+                assert out == slice_to_text(enumerate_basis(d, n)) + "\n"
+
+    def test_json_and_csv_list_the_same_first_members(self, capsys):
+        for n in range(0, 11):
+            for d in range(1, 11):
+                s = enumerate_basis(d, n)
+                first = [list(p.values) for p in s.members[:3]]
+                args = ("enumerate", "-d", str(d), "-n", str(n), "--limit", "3")
+                _, out, _ = run(capsys, *args, "--format", "json")
+                data = json.loads(out)
+                assert (data["count"], data["members"]) == (s.count, first)
+                assert data.get("truncated", False) == (s.count > 3)
+                _, out, _ = run(capsys, *args, "--format", "csv")
+                rows = [line.split(",") for line in out.splitlines()[1 : 1 + len(first)]]
+                assert [[int(i), [int(v) for v in w.split()]] for i, w in rows] == [
+                    [i, w] for i, w in enumerate(first, start=1)
+                ]
+
+    def test_tree_levels_in_generating_tree_order(self, capsys):
+        for depth in range(1, 9):
+            code, out, _ = run(capsys, "bijection", "tree", "--depth", str(depth))
+            assert code == 0
+            *lines, sizes = out.splitlines()
+            levels = [[] for _ in range(depth)]
+            for line in lines:
+                body = line.lstrip(" ")
+                levels[(len(line) - len(body)) // 2].append(body)
+            want = generating_tree(depth)
+            assert levels == [[str(node.perm) for node in level] for level in want]
+            assert sizes == "level sizes: " + " ".join(str(len(level)) for level in want)
+
+
+class TestRefusals:
+    """Listings and trees above ``cli.MAX_LISTED`` are refused before any work."""
+
+    def refused(self, capsys, *argv) -> str:
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        return err
+
+    def test_listings_too_large_to_build(self, capsys):
+        for argv in (
+            ["enumerate", "-d", "10", "-n", "16"],
+            ["enumerate", "-d", "10", "-n", "16", "--limit", "5"],
+            ["enumerate", "-d", "30", "-n", "45", "--limit", "5", "--format", "json"],
+            ["enumerate", "-d", "8", "-n", "12", "--format", "csv"],
+        ):
+            assert "--count-only" in self.refused(capsys, *argv)
+
+    def test_trees_too_large_to_print(self, capsys):
+        for depth in ("13", "20", "1000000000"):
+            for fmt in ("plain", "json"):
+                err = self.refused(capsys, "bijection", "tree", "--depth", depth, "--format", fmt)
+                assert "--count-only" in err
+
+    def test_cap_is_inclusive(self, capsys, monkeypatch):
+        # (3, 5) has 10 members; a tree of depth 3 has 1 + 2 + 5 nodes.
+        monkeypatch.setattr(cli, "MAX_LISTED", 10)
+        assert run(capsys, "enumerate", "-d", "3", "-n", "5")[0] == 0
+        monkeypatch.setattr(cli, "MAX_LISTED", 9)
+        self.refused(capsys, "enumerate", "-d", "3", "-n", "5")
+        monkeypatch.setattr(cli, "MAX_LISTED", 8)
+        assert run(capsys, "bijection", "tree", "--depth", "3")[0] == 0
+        monkeypatch.setattr(cli, "MAX_LISTED", 7)
+        self.refused(capsys, "bijection", "tree", "--depth", "3")
 
 
 class TestScenario:
