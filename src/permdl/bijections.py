@@ -124,6 +124,14 @@ class EcoNode:
         if n % 2 or not is_minimal(self.perm, n // 2).is_minimal:
             raise ValueError(f"{self.perm} is not a size-2d minimal permutation")
 
+    @classmethod
+    def _trusted(cls, perm: Permutation) -> EcoNode:
+        # For children the generating-tree rule built: the rule keeps
+        # minimality, so the is_minimal check above is skipped.
+        node = object.__new__(cls)
+        object.__setattr__(node, "perm", perm)
+        return node
+
     @property
     def label(self) -> int:
         # How far below 2d the last element sits; ranges over 2 .. d+1.
@@ -146,11 +154,7 @@ def eco_children(node: EcoNode) -> list[EcoNode]:
     kids = []
     for i in range(two_d + 1, two_d + 1 - node.label, -1):
         shifted = tuple(x + 1 if x >= i else x for x in v)
-        # The rule keeps minimality, so the checks of EcoNode and
-        # Permutation are skipped for the child.
-        kid = object.__new__(EcoNode)
-        object.__setattr__(kid, "perm", Permutation._trusted(shifted + (two_d + 2, i)))
-        kids.append(kid)
+        kids.append(EcoNode._trusted(Permutation._trusted(shifted + (two_d + 2, i))))
     return kids
 
 

@@ -200,7 +200,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(json.dumps(payload))
         return 0
     trailer = [f"# truncated at {args.limit}"] if truncated else []
-    names = [str(v) for v in range(n + 1)]
+    # The table of value names is sized from the members, never from the
+    # requested n alone: an empty slice (any n outside d+1..2d) builds none.
+    names = [str(v) for v in range(n + 1)] if words else []
 
     def render(w: tuple[int, ...]) -> str:
         return " ".join(map(names.__getitem__, w))

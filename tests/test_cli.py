@@ -223,6 +223,21 @@ class TestListingRoute:
             assert levels == [[str(node.perm) for node in level] for level in want]
             assert sizes == "level sizes: " + " ".join(str(len(level)) for level in want)
 
+    def test_empty_slice_of_huge_size_answers_at_once(self, capsys):
+        # n is far outside d+1..2d: the slice is empty, and nothing may be
+        # sized from n itself.
+        want = {
+            "plain": "# d=1 n=1000000000 count=0\n",
+            "json": '{"d": 1, "n": 1000000000, "count": 0, "members": []}\n',
+            "csv": "index,permutation\n",
+        }
+        for fmt, text in want.items():
+            for extra in ((), ("--limit", "3")):
+                start = time.perf_counter()
+                code, out, err = run(capsys, "enumerate", "-d", "1", "-n", "1000000000", "--format", fmt, *extra)
+                assert time.perf_counter() - start < 1.0
+                assert (code, out, err) == (0, text, "")
+
 
 class TestRefusals:
     """Listings and trees above ``cli.MAX_LISTED`` are refused before any work."""

@@ -2,8 +2,9 @@
 
 Every input must get an answer or a refusal: exit code 0, 1 or 2 (argparse's
 ``SystemExit(2)`` counts as 2), no exception escaping ``main``, and the same
-stdout when run twice.  Sizes stay small, so an accepted request finishes
-quickly; a per-example deadline and an alarm make a slow or hung run fail.
+stdout when run twice.  Sizes stay small, apart from huge listing sizes whose
+slices are empty, so an accepted request finishes quickly; a per-example
+deadline and an alarm make a slow or hung run fail.
 """
 
 import io
@@ -18,6 +19,9 @@ from permdl.cli import main
 
 # Integers up to 6 keep every accepted listing, tree and walk small.
 INTS = st.integers(-2, 6).map(str)
+# Listing sizes also take a huge value: its slice is empty, so it must be
+# answered at once, never sized from n.
+SIZES = st.one_of(INTS, st.sampled_from([str(10**8), str(10**9)]))
 FORMATS = st.sampled_from(["plain", "json", "csv", "bfile"])
 PERMS = st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1)))
 TEXTS = st.one_of(
@@ -31,7 +35,7 @@ TEXTS = st.one_of(
 SHAPES = {
     ("stats",): [TEXTS, ("--grid", None), ("--format", FORMATS)],
     ("check",): [TEXTS, ("-d", INTS), ("--format", FORMATS)],
-    ("enumerate",): [("-d", INTS), ("-n", INTS), ("--limit", INTS), ("--count-only", None), ("--format", FORMATS)],
+    ("enumerate",): [("-d", INTS), ("-n", SIZES), ("--limit", INTS), ("--count-only", None), ("--format", FORMATS)],
     ("scenario",): [TEXTS, ("--format", FORMATS)],
     ("evolve",): [("-n", INTS), ("--steps", INTS), ("--seed", st.integers(-3, 2**70).map(str)), ("--format", FORMATS)],
     ("poset",): [("--composition", TEXTS), ("--ladder", INTS), ("--format", FORMATS)],
