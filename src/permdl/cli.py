@@ -14,10 +14,11 @@ predicate, 1 for a false predicate (``check`` on a non-minimal permutation),
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijections import (
     DyckPath,
@@ -46,11 +47,6 @@ from .perm import _integers, descents, maximal_runs, parse_permutation
 from .posets import DescentComposition, build_poset, ladder, poset_edges
 
 
-def _values_or_dash(values: Iterable[int]) -> str:
-    text = " ".join(map(str, sorted(values)))
-    return text or "-"
-
-
 # The most members a listing, or nodes a tree, may hold: a larger answer is
 # refused up front, since it is built whole in memory before it is printed.
 MAX_LISTED = 10**6
@@ -58,6 +54,14 @@ MAX_LISTED = 10**6
 # Lines per write in listings and trees, so that a long one is never held
 # as text all at once.
 _CHUNK_LINES = 1 << 14
+
+
+def _word_renderer(n: int) -> Callable[[Iterable[int]], str]:
+    # Renders words over 1..n through one table of value names, so a value
+    # shared by many words (listing members, scenario states) is turned into
+    # text once.
+    names = [str(v) for v in range(n + 1)]
+    return lambda word: " ".join(map(names.__getitem__, word))
 
 
 def _emit(lines: Iterable[str]) -> None:
@@ -201,12 +205,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         return 0
     trailer = [f"# truncated at {args.limit}"] if truncated else []
     # The table of value names is sized from the members, never from the
-    # requested n alone: an empty slice (any n outside d+1..2d) builds none.
-    names = [str(v) for v in range(n + 1)] if words else []
-
-    def render(w: tuple[int, ...]) -> str:
-        return " ".join(map(names.__getitem__, w))
-
+    # requested n alone: an empty slice (any n outside d+1..2d) needs none.
+    render = _word_renderer(n if words else 0)
     if args.format == "csv":
         rows = (f"{i},{render(w)}" for i, w in enumerate(shown, start=1))
         _emit_listing(itertools.chain(["index,permutation"], rows, trailer))
@@ -217,15 +217,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _scenario_lines(scenario: Scenario) -> list[str]:
-    # Render each state once: one step's result is the next step's start
-    # and, after the last step, the end.
+    # The states are a real replay of the steps, each rendered once: one
+    # step's result is the next step's start and, after the last step, the
+    # end.  Every state holds the values 1..n, so one table names them all.
+    render = _word_renderer(scenario.start.n)
     lines = []
     current = scenario.start
-    before = str(current)
+    before = render(current.values)
     for i, step in enumerate(scenario.steps, start=1):
         current = apply_step(current, step)
-        after = str(current)
-        lines.append(f"step {i}: keep {_values_or_dash(step.kept_first)} | {before} -> {after}")
+        after = render(current.values)
+        kept = render(sorted(step.kept_first)) or "-"
+        lines.append(f"step {i}: keep {kept} | {before} -> {after}")
         before = after
     lines.append(f"end: {before}")
     return lines
@@ -391,7 +394,13 @@ def cmd_poset(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The permdl parser, built on first use and then shared by every call.
+
+    Parsing leaves the parser unchanged, so one instance serves any number
+    of ``main`` calls in a process; importing this module builds nothing.
+    """
     parser = argparse.ArgumentParser(prog="permdl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,6 +14,11 @@ cost, ``synthesize_scenario`` exhibits a shortest witness, and
 ``reachable_within`` answers the budget question without constructing
 anything.
 
+Steps run as C-level passes over the word: ``apply_step`` splits it with
+``itertools.compress`` and ``filterfalse`` on membership in the kept set,
+and the synthesis cuts runs as slices at the descents (see ``perm``), so
+hosts of 10^5 values cost no per-value Python loop.
+
 Randomized scenarios use an explicit splitmix64 generator (documented on
 ``SplitMix64``) rather than the interpreter's RNG so that seeded runs are
 reproducible bit for bit anywhere.
@@ -59,11 +64,14 @@ def apply_step(p: Permutation, step: DuplicationStep) -> Permutation:
     >>> apply_step(Permutation((1, 2, 3, 4, 5, 6, 7)), step).values
     (1, 2, 4, 5, 3, 6, 7)
     """
-    extra = step.kept_first - set(p.values)
-    if extra:
+    first = step.kept_first
+    kept = tuple(itertools.compress(p.values, map(first.__contains__, p.values)))
+    # The values of p are distinct, so each value of ``first`` was kept at
+    # most once: a shortfall means exactly that some value is foreign.
+    if len(kept) != len(first):
+        extra = first - set(p.values)
         raise ValueError(f"kept values not in the permutation: {sorted(extra)}")
-    kept = tuple(v for v in p.values if v in step.kept_first)
-    lost = tuple(v for v in p.values if v not in step.kept_first)
+    lost = tuple(itertools.filterfalse(first.__contains__, p.values))
     return Permutation._trusted(kept + lost)
 
 
@@ -124,7 +132,7 @@ def synthesize_scenario(target: Permutation) -> Scenario:
         for i in range(m):
             block = runs[i] + (runs[i + m] if i + m < k else ())
             merged.append(tuple(sorted(block)))
-        steps.append(DuplicationStep(frozenset(v for r in runs[:m] for v in r)))
+        steps.append(DuplicationStep(frozenset(itertools.chain.from_iterable(runs[:m]))))
         current = Permutation._trusted(tuple(itertools.chain.from_iterable(merged)))
     steps.reverse()
     return Scenario(identity(target.n), tuple(steps), target)

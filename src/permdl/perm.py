@@ -8,13 +8,19 @@ genome has at least one marker.
 
 All types are immutable values and all operations are pure functions, so
 objects can be shared freely across threads or worker processes.
+
+Hosts reach 10^5 values, so the scans over a word run as C-level passes
+rather than per-value Python loops: descents are read off one
+``map(operator.gt, ...)`` over adjacent pairs, runs are slices between the
+descent cuts, and parsed text is checked with ``min``, ``max`` and ``set``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "DescentSet",
@@ -114,23 +120,44 @@ def parse_permutation(text: str) -> Permutation:
     values = _integers(text)
     if not values:
         raise ValueError("empty permutation input")
+    n = len(values)
+    # Exact for the ints int() returns: n distinct values in 1..n are a
+    # permutation.  Anything else goes through the checking constructor,
+    # which raises the message naming the first bad value.
+    if min(values) >= 1 and max(values) <= n and len(set(values)) == n:
+        return Permutation._trusted(tuple(values))
     return Permutation(tuple(values))
 
 
 def _integers(text: str) -> list[int]:
     # Integers separated by commas and/or whitespace; callers refuse empty input.
-    values = []
-    for tok in text.replace(",", " ").split():
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise ValueError(f"not an integer: {tok!r}") from None
-    return values
+    tokens = text.replace(",", " ").split()
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return [_integer(tok) for tok in tokens]  # raises, naming the first bad token
+
+
+def _integer(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ValueError(f"not an integer: {tok!r}") from None
+
+
+def _descent_flags(word: Sequence[int]) -> Iterator[bool]:
+    # word[i] > word[i + 1] for each adjacent pair, left to right.
+    return map(operator.gt, word, itertools.islice(word, 1, None))
+
+
+def _descent_cuts(word: Sequence[int]) -> Iterable[int]:
+    # One-based descent positions: cutting the word there leaves its runs.
+    return itertools.compress(itertools.count(1), _descent_flags(word))
 
 
 def descent_count(word: Sequence[int]) -> int:
     """Number of adjacent out-of-order pairs in any sequence of distinct values."""
-    return sum(1 for i in range(len(word) - 1) if word[i] > word[i + 1])
+    return sum(_descent_flags(word))
 
 
 def run_count(word: Sequence[int]) -> int:
@@ -146,8 +173,7 @@ def descents(p: Permutation) -> DescentSet:
     >>> descents(Permutation((1, 2, 3))).count
     0
     """
-    v = p.values
-    return DescentSet(tuple(i + 1 for i in range(len(v) - 1) if v[i] > v[i + 1]))
+    return DescentSet(tuple(_descent_cuts(p.values)))
 
 
 def maximal_runs(p: Permutation) -> RunDecomposition:
@@ -156,16 +182,9 @@ def maximal_runs(p: Permutation) -> RunDecomposition:
     >>> [list(r) for r in maximal_runs(Permutation((6, 9, 8, 4, 1, 3, 7, 2, 5))).runs]
     [[6, 9], [8], [4], [1, 3, 7], [2, 5]]
     """
-    runs: list[tuple[int, ...]] = []
-    current = [p.values[0]]
-    for v in p.values[1:]:
-        if v > current[-1]:
-            current.append(v)
-        else:
-            runs.append(tuple(current))
-            current = [v]
-    runs.append(tuple(current))
-    return RunDecomposition(tuple(runs))
+    v = p.values
+    cuts = [0, *_descent_cuts(v), len(v)]
+    return RunDecomposition(tuple(v[a:b] for a, b in itertools.pairwise(cuts)))
 
 
 def standardize(word: Sequence[int]) -> Permutation:
@@ -201,7 +220,7 @@ def identity(n: int) -> Permutation:
     """The increasing permutation 1 2 .. n."""
     if n < 1:
         raise ValueError("size must be at least 1")
-    return Permutation(tuple(range(1, n + 1)))
+    return Permutation._trusted(tuple(range(1, n + 1)))
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -61,6 +61,38 @@ def composition_count(d: int, n: int) -> int:
     return sum(count_labellings(build_poset(c)) for c in compositions(d, n))
 
 
+def list_step(word: list[int], kept_first) -> list[int]:
+    """One duplication-loss step on a plain list, straight from its definition.
+
+    Both copies are laid out in tandem; every value in ``kept_first`` loses
+    its second copy and every other value its first, so the kept values come
+    first and the rest follow, each group in the old order.
+    """
+    tandem = [(v, 0) for v in word] + [(v, 1) for v in word]
+    return [v for v, copy in tandem if copy == (0 if v in kept_first else 1)]
+
+
+def replay_rendered_scenario(lines: list[str], n: int) -> list[int]:
+    """Check the step lines of a plain CLI scenario, then return where they end.
+
+    ``lines`` are "step i: keep K | A -> B" for each step and a last
+    "end: E".  Each step is replayed from the identity of size n with
+    ``list_step``; every printed state A and B must equal the replayed one,
+    and E the final state.
+    """
+    current = list(range(1, n + 1))
+    for i, line in enumerate(lines[:-1], start=1):
+        prefix = f"step {i}: keep "
+        assert line.startswith(prefix), line[:80]
+        head, _, states = line[len(prefix):].partition(" | ")
+        before, _, after = states.partition(" -> ")
+        assert before == " ".join(map(str, current)), f"step {i} does not start where the last ended"
+        current = list_step(current, set() if head == "-" else set(map(int, head.split())))
+        assert after == " ".join(map(str, current)), f"step {i} does not replay"
+    assert lines[-1] == "end: " + " ".join(map(str, current))
+    return current
+
+
 @lru_cache(maxsize=None)
 def all_steps(n: int) -> tuple[DuplicationStep, ...]:
     return tuple(

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -8,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import permdl
-from permdl import cli, count_basis, enumerate_basis, generating_tree, slice_to_text
+from permdl import cli, count_basis, enumerate_basis, generating_tree, random_evolution, scenario_to_json, slice_to_text
 from permdl.cli import main
+
+from helpers import replay_rendered_scenario
 
 
 def run(capsys, *argv):
@@ -292,6 +295,21 @@ class TestScenario:
         assert code == 0
         assert json.loads(out) == {"n": 2, "steps": [[2]], "end": [2, 1]}
 
+    def test_large_hosts_replay_line_by_line(self, capsys):
+        n = 10**4
+        shuffled = list(range(1, n + 1))
+        random.Random(3).shuffle(shuffled)
+        for host in (list(random_evolution(n, 5, 11).end.values), shuffled, list(range(n, 0, -1))):
+            text = " ".join(map(str, host))
+            code, out, _ = run(capsys, "scenario", text)
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == f"target: {text}"
+            steps = int(lines[1].removeprefix("steps: "))
+            assert steps == sum(a > b for a, b in zip(host, host[1:])).bit_length()
+            assert len(lines) == steps + 3
+            assert replay_rendered_scenario(lines[2:], n) == host
+
 
 class TestEvolve:
     def test_golden(self, capsys):
@@ -306,6 +324,23 @@ class TestEvolve:
             "step 3: keep 4 5 6 | 1 2 5 4 3 6 -> 5 4 6 1 2 3\n"
             "end: 5 4 6 1 2 3\n"
         )
+
+    def test_empty_kept_set_prints_a_dash(self, capsys):
+        code, out, _ = run(capsys, "evolve", "-n", "2", "--steps", "2", "--seed", "2")
+        assert code == 0
+        assert out.splitlines()[3:] == ["step 1: keep - | 1 2 -> 1 2", "step 2: keep 1 | 1 2 -> 1 2", "end: 1 2"]
+
+    def test_large_walk_replays_line_by_line(self, capsys):
+        n, steps, seed = 10**4, 6, 21
+        code, out, _ = run(capsys, "evolve", "-n", str(n), "--steps", str(steps), "--seed", str(seed))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:3] == [f"n: {n}", f"steps: {steps}", f"seed: {seed}"]
+        assert len(lines) == steps + 4
+        walk = scenario_to_json(random_evolution(n, steps, seed))
+        kept = [line.split(" | ", 1)[0].split(": keep ", 1)[1] for line in lines[3:-1]]
+        assert kept == [" ".join(map(str, k)) or "-" for k in walk["steps"]]
+        assert replay_rendered_scenario(lines[3:], n) == walk["end"]
 
     def test_deterministic(self, capsys):
         first = run(capsys, "evolve", "-n", "7", "--steps", "4", "--seed", "9")
@@ -428,6 +463,47 @@ class TestParser:
                 main(argv)
             assert exc.value.code == 2
             assert capsys.readouterr().out == ""
+
+    def test_one_parser_serves_every_call(self, capsys):
+        # A refusal, help output and valid commands back to back on the
+        # cached parser print exactly what each prints on a fresh one.
+        argvs = [
+            ["enumerate", "-d", "3", "--limit", "1"],
+            ["--help"],
+            ["stats", "--help"],
+            ["stats", "2 1 3", "--format", "csv"],
+            ["frobnicate"],
+            ["check", "2 1", "-d", "1"],
+            ["enumerate", "-d", "2", "-n", "4", "--limit", "1"],
+            ["stats", "--limit", "1", "2 1"],
+            ["scenario", "3 1 2", "--format", "json"],
+            ["evolve", "-n", "5", "--steps", "2"],
+            ["stats", "2 2"],
+        ]
+
+        def call(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [call(argv) for argv in argvs]
+        assert cli.build_parser.cache_info().currsize == 1
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(call(argv))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [2, 0, 0, 0, 2, 0, 0, 2, 0, 0, 2]
+
+    def test_import_builds_no_parser(self):
+        code = "import permdl.cli; print(permdl.cli.build_parser.cache_info().currsize)"
+        src = str(Path(permdl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "0"
 
     def test_import_starts_no_process_machinery(self):
         code = "import sys, permdl.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"

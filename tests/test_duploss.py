@@ -24,7 +24,7 @@ from permdl import (
     synthesize_scenario,
 )
 
-from helpers import all_steps, bfs_distances
+from helpers import all_steps, bfs_distances, list_step
 
 perms = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -45,6 +45,20 @@ class TestApplyStep:
     def test_foreign_values_rejected(self):
         with pytest.raises(ValueError):
             apply_step(identity(3), DuplicationStep(frozenset({4})))
+
+    @pytest.mark.parametrize(
+        "kept, foreign",
+        [({6}, [6]), ({1, 9, 3, 0}, [0, 9]), ({2, -5, 12, 5, 7}, [-5, 7, 12]), ({1, 2, 3, 4, 5, 6}, [6])],
+    )
+    def test_only_the_foreign_values_are_listed_sorted(self, kept, foreign):
+        with pytest.raises(ValueError) as got:
+            apply_step(parse_permutation("3 1 5 2 4"), DuplicationStep(frozenset(kept)))
+        assert str(got.value) == f"kept values not in the permutation: {foreign}"
+
+    @given(perms, st.data())
+    def test_matches_list_based_step(self, p, data):
+        kept = frozenset(data.draw(st.sets(st.integers(1, p.n))))
+        assert list(apply_step(p, DuplicationStep(kept)).values) == list_step(list(p.values), kept)
 
     @given(perms, st.data())
     def test_preserves_content(self, p, data):

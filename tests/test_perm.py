@@ -64,6 +64,34 @@ class TestParse:
         with pytest.raises(ValueError):
             parse_permutation("   ")
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (0,),
+            (1, 0),
+            (2, 3),
+            (3, 1, 2, 4, 6),
+            (2, 1, 2),
+            (3, 1, 1),
+            (1, 5, 2, 2),  # out of range first, duplicate after it
+            (2, 2, 7),  # duplicate first, out of range after it
+            (-1, 1),
+        ],
+    )
+    def test_malformed_values_raise_the_constructor_message(self, values):
+        with pytest.raises(ValueError) as want:
+            Permutation(tuple(values))
+        for text in (" ".join(map(str, values)), ",".join(map(str, values))):
+            with pytest.raises(ValueError) as got:
+                parse_permutation(text)
+            assert str(got.value) == str(want.value)
+
+    def test_first_bad_token_is_named(self):
+        for text, bad in (("1 x 2", "x"), ("2 1 y z", "y"), ("1.0 2", "1.0"), ("q", "q")):
+            with pytest.raises(ValueError) as got:
+                parse_permutation(text)
+            assert str(got.value) == f"not an integer: {bad!r}"
+
     @given(perms)
     def test_str_roundtrip(self, p):
         assert parse_permutation(str(p)).values == p.values
@@ -100,6 +128,43 @@ class TestStatistics:
         assert descent_count((3, 1, 2)) == 1
         assert run_count((3, 1, 2)) == 2
         assert descent_count(()) == 0
+
+
+def naive_descents(word) -> list[int]:
+    return [i + 1 for i in range(len(word) - 1) if word[i] > word[i + 1]]
+
+
+def naive_runs(word) -> list[tuple[int, ...]]:
+    runs, current = [], [word[0]]
+    for v in word[1:]:
+        if v > current[-1]:
+            current.append(v)
+        else:
+            runs.append(tuple(current))
+            current = [v]
+    return runs + [tuple(current)]
+
+
+class TestScansMatchDefinitions:
+    """The C-level scans against per-element loops straight from the definitions."""
+
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=40, unique=True))
+    def test_descent_count_on_lists_and_tuples(self, word):
+        want = len(naive_descents(word))
+        assert descent_count(word) == descent_count(tuple(word)) == want
+
+    @given(st.integers(1, 60).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+    def test_descents_and_runs(self, word):
+        p = Permutation(word)
+        assert descents(p).positions == tuple(naive_descents(word))
+        assert maximal_runs(p).runs == tuple(naive_runs(word))
+        assert all(type(r) is tuple for r in maximal_runs(p).runs)
+
+    def test_size_one(self):
+        p = Permutation((1,))
+        assert descent_count([1]) == descent_count((1,)) == 0
+        assert descents(p).positions == ()
+        assert maximal_runs(p).runs == ((1,),)
 
 
 class TestStandardize:

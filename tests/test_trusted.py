@@ -1,6 +1,7 @@
-"""Every site that wraps library-built words without re-checking them.
+"""Every site that wraps words without the checks of the public constructors.
 
-``Permutation._trusted`` skips the range and duplicate loop, and
+``Permutation._trusted`` skips the range and duplicate loop (the library
+built the word, or ``parse_permutation`` checked it in one pass), and
 ``eco_children`` skips the minimality check of ``EcoNode``.  Each test here
 rebuilds a sample of one site's outputs through the public, checking
 constructors and requires an equal object, so a site that ever produced a
@@ -24,7 +25,9 @@ from permdl import (
     dyck_to_perm,
     enumerate_basis,
     generating_tree,
+    identity,
     non_interval_subsets,
+    parse_permutation,
     phi1,
     phi2,
     random_evolution,
@@ -47,6 +50,18 @@ def test_public_constructors_still_check():
         Permutation((0, 1))
     with pytest.raises(ValueError):
         EcoNode(Permutation((1, 2)))
+
+
+def test_identity():
+    for n in (1, 2, 3, 10, 1000):
+        assert rebuilt(identity(n)).values == tuple(range(1, n + 1))
+
+
+def test_parse_permutation():
+    texts = [str(p) for n in range(1, 6) for p in all_permutations(n)]
+    texts += ["2,1", " 3 , 1 2 ", str(random_evolution(2000, 5, 4).end)]
+    for text in texts:
+        rebuilt(parse_permutation(text))
 
 
 def test_enumerate_basis_members():
