@@ -6,7 +6,8 @@ the labellings of the shape posets, the one production enumeration route,
 and are rendered from those raw words: the library built them, so they are
 not checked again on the way out.  A listing or a generating tree with more
 than MAX_LISTED members is refused before anything is built; counts stay
-available through --count-only.  Exit codes: 0 for success or a true
+available through --count-only.  So are an evolve walk, a poset and a phi
+member too large to hold.  Exit codes: 0 for success or a true
 predicate, 1 for a false predicate (``check`` on a non-minimal permutation),
 2 for usage or parse errors and refused requests.
 """
@@ -47,8 +48,9 @@ from .perm import _integers, descents, maximal_runs, parse_permutation
 from .posets import DescentComposition, build_poset, ladder, poset_edges
 
 
-# The most members a listing, or nodes a tree, may hold: a larger answer is
-# refused up front, since it is built whole in memory before it is printed.
+# The most members a listing, or nodes a tree, may hold, and the most values
+# an evolve walk, a poset or a phi member may hold: a larger answer is refused
+# up front, since it is built whole in memory before it is printed.
 MAX_LISTED = 10**6
 
 # Lines per write in listings and trees, so that a long one is never held
@@ -216,22 +218,17 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_lines(scenario: Scenario) -> list[str]:
+def _scenario_lines(scenario: Scenario, render: Callable[[Iterable[int]], str]) -> Iterator[str]:
     # The states are a real replay of the steps, each rendered once: one
     # step's result is the next step's start and, after the last step, the
-    # end.  Every state holds the values 1..n, so one table names them all.
-    render = _word_renderer(scenario.start.n)
-    lines = []
-    current = scenario.start
-    before = render(current.values)
-    for i, step in enumerate(scenario.steps, start=1):
-        current = apply_step(current, step)
-        after = render(current.values)
+    # end.  Only the two states of the current line are held.
+    states = map(render, itertools.accumulate(scenario.steps, apply_step, initial=scenario.start))
+    before = next(states)
+    for i, (step, after) in enumerate(zip(scenario.steps, states), start=1):
         kept = render(sorted(step.kept_first)) or "-"
-        lines.append(f"step {i}: keep {kept} | {before} -> {after}")
+        yield f"step {i}: keep {kept} | {before} -> {after}"
         before = after
-    lines.append(f"end: {before}")
-    return lines
+    yield f"end: {before}"
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
@@ -240,18 +237,27 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(scenario_to_json(scenario)))
         return 0
-    _emit([f"target: {target}", f"steps: {len(scenario.steps)}"])
-    _emit(_scenario_lines(scenario))
+    # Every state holds the values 1..n, so one table names them all.
+    render = _word_renderer(target.n)
+    _emit([f"target: {render(target)}", f"steps: {len(scenario.steps)}"])
+    _emit(_scenario_lines(scenario, render))
     return 0
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    scenario = random_evolution(args.size, args.steps, args.seed)
+    n = args.size
+    # The scenario holds up to n kept values per step and its n-value end.
+    if n >= 1 and n * (args.steps + 1) > MAX_LISTED:
+        raise ValueError(
+            f"a walk with n={n} and steps={args.steps} holds up to {n * (args.steps + 1)} values, "
+            f"more than the {MAX_LISTED} a request may hold"
+        )
+    scenario = random_evolution(n, args.steps, args.seed)
     if args.format == "json":
         print(json.dumps(scenario_to_json(scenario)))
         return 0
-    _emit([f"n: {args.size}", f"steps: {args.steps}", f"seed: {args.seed}"])
-    _emit(_scenario_lines(scenario))
+    _emit([f"n: {n}", f"steps: {args.steps}", f"seed: {args.seed}"])
+    _emit(_scenario_lines(scenario, _word_renderer(n)))
     return 0
 
 
@@ -279,7 +285,13 @@ def _resolve_subset(args: argparse.Namespace) -> NonIntervalSubset:
     values = _integers(args.arg)
     if not values:
         raise ValueError("empty subset")
-    return NonIntervalSubset(args.descents, frozenset(values))
+    subset = NonIntervalSubset(args.descents, frozenset(values))
+    if subset.d + 2 > MAX_LISTED:
+        raise ValueError(
+            f"a d={subset.d} member has {subset.d + 2} values, "
+            f"more than the {MAX_LISTED} a request may hold"
+        )
+    return subset
 
 
 def cmd_bijection_phi1(args: argparse.Namespace) -> int:
@@ -350,11 +362,12 @@ def _tree_json(node: EcoNode, depth: int) -> dict:
 def cmd_bijection_tree(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise ValueError("depth must be at least 1")
-    # Level t holds the size-2t slice; stop summing once past the cap.
-    nodes = 0
+    # Level t holds the size-2t slice; stop counting once past the cap.
+    # Below the cap, these counts are the level sizes printed after the tree.
+    sizes = []
     for t in range(1, args.depth + 1):
-        nodes += count_basis(t, 2 * t)
-        if nodes > MAX_LISTED:
+        sizes.append(count_basis(t, 2 * t))
+        if sum(sizes) > MAX_LISTED:
             raise ValueError(
                 f"a tree of depth {args.depth} has more than {MAX_LISTED} nodes; "
                 "count level t with 'enumerate -d t -n 2t --count-only'"
@@ -362,10 +375,8 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps({"depth": args.depth, "root": _tree_json(eco_root(), args.depth)}))
         return 0
-    sizes = [0] * args.depth
 
     def walk(node: EcoNode, level: int) -> Iterator[str]:
-        sizes[level - 1] += 1
         yield f"{'  ' * (level - 1)}{node.perm}"
         if level < args.depth:
             for kid in eco_children(node):
@@ -380,9 +391,13 @@ def cmd_poset(args: argparse.Namespace) -> int:
     if (args.composition is None) == (args.ladder is None):
         raise ValueError("give exactly one of --composition or --ladder")
     if args.ladder is not None:
-        poset = ladder(args.ladder)
+        composition, size = None, 2 * args.ladder
     else:
-        poset = build_poset(DescentComposition(tuple(_integers(args.composition))))
+        composition = DescentComposition(tuple(_integers(args.composition)))
+        size = composition.n
+    if size > MAX_LISTED:
+        raise ValueError(f"a poset of {size} nodes is more than the {MAX_LISTED} a request may hold")
+    poset = ladder(args.ladder) if composition is None else build_poset(composition)
     if args.format == "json":
         print(json.dumps({"size": poset.size, "covers": sorted(list(c) for c in poset.covers)}))
     else:

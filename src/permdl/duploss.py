@@ -16,8 +16,10 @@ anything.
 
 Steps run as C-level passes over the word: ``apply_step`` splits it with
 ``itertools.compress`` and ``filterfalse`` on membership in the kept set,
-and the synthesis cuts runs as slices at the descents (see ``perm``), so
-hosts of 10^5 values cost no per-value Python loop.
+so hosts of 10^5 values cost no per-value Python loop.  The synthesis reads
+the target's runs once and then merges those blocks of values round by
+round: it never builds or rescans an intermediate word.  States are built
+only by replaying steps, and every replay folds ``apply_step`` over them.
 
 Randomized scenarios use an explicit splitmix64 generator (documented on
 ``SplitMix64``) rather than the interpreter's RNG so that seeded runs are
@@ -26,6 +28,7 @@ reproducible bit for bit anywhere.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -105,10 +108,7 @@ class Scenario:
 
 def replay(scenario: Scenario) -> Permutation:
     """Run the steps from ``start``; equals ``end`` for any valid scenario."""
-    current = scenario.start
-    for step in scenario.steps:
-        current = apply_step(current, step)
-    return current
+    return functools.reduce(apply_step, scenario.steps, scenario.start)
 
 
 def synthesize_scenario(target: Permutation) -> Scenario:
@@ -119,21 +119,21 @@ def synthesize_scenario(target: Permutation) -> Scenario:
     m = ceil(k/2), under the step keeping the values of R1..Rm first.
     Halving the run count each time lands on the identity after exactly
     ceil(log2(k)) steps.
+
+    The blocks are exactly the runs of the earlier permutation: sorted
+    block i ends at its maximum, which is at least last(Ri) > first(R(i+1)),
+    itself at least the minimum that starts block i+1, so that word descends
+    at every block boundary and never inside a block.  The next round can
+    therefore merge the blocks themselves, and the runs are read once, from
+    ``target``.  A step depends only on which values each block holds, so
+    blocks are concatenated, never sorted, and no intermediate word is built.
     """
+    blocks = maximal_runs(target).runs
     steps: list[DuplicationStep] = []
-    current = target
-    while True:
-        runs = maximal_runs(current).runs
-        k = len(runs)
-        if k == 1:
-            break
-        m = (k + 1) // 2
-        merged = []
-        for i in range(m):
-            block = runs[i] + (runs[i + m] if i + m < k else ())
-            merged.append(tuple(sorted(block)))
-        steps.append(DuplicationStep(frozenset(itertools.chain.from_iterable(runs[:m]))))
-        current = Permutation._trusted(tuple(itertools.chain.from_iterable(merged)))
+    while len(blocks) > 1:
+        m = (len(blocks) + 1) // 2
+        steps.append(DuplicationStep(frozenset(itertools.chain.from_iterable(blocks[:m]))))
+        blocks = [a + b for a, b in itertools.zip_longest(blocks[:m], blocks[m:], fillvalue=())]
     steps.reverse()
     return Scenario(identity(target.n), tuple(steps), target)
 
@@ -177,14 +177,10 @@ def random_evolution(n: int, steps: int, seed: int) -> Scenario:
     if steps < 0:
         raise ValueError("steps must be at least 0")
     rng = SplitMix64(seed)
-    current = identity(n)
-    taken: list[DuplicationStep] = []
-    for _ in range(steps):
-        kept = frozenset(v for v in range(1, n + 1) if rng.coin())
-        step = DuplicationStep(kept)
-        taken.append(step)
-        current = apply_step(current, step)
-    return Scenario(identity(n), tuple(taken), current)
+    values = range(1, n + 1)
+    taken = tuple(DuplicationStep(frozenset(v for v in values if rng.coin())) for _ in range(steps))
+    start = identity(n)
+    return Scenario(start, taken, functools.reduce(apply_step, taken, start))
 
 
 def scenario_to_json(scenario: Scenario) -> dict:

@@ -72,6 +72,32 @@ def list_step(word: list[int], kept_first) -> list[int]:
     return [v for v, copy in tandem if copy == (0 if v in kept_first else 1)]
 
 
+def halving_by_rescan(word) -> list[frozenset[int]]:
+    """Kept sets of the run-halving derivation of ``word``, first step first.
+
+    Works backward on plain lists and rescans every word it builds: split
+    the word at its descents into runs R1..Rk, keep the values of R1..Rm,
+    m = ceil(k/2), and replace the word by the sorted unions Ri | R(i+m),
+    laid end to end, until one run is left.
+    """
+    word = list(word)
+    kept_sets = []
+    while True:
+        runs = [[word[0]]]
+        for a, b in zip(word, word[1:]):
+            if a > b:
+                runs.append([])
+            runs[-1].append(b)
+        k = len(runs)
+        if k == 1:
+            return kept_sets[::-1]
+        m = (k + 1) // 2
+        kept_sets.append(frozenset(v for run in runs[:m] for v in run))
+        word = []
+        for i in range(m):
+            word += sorted(runs[i] + (runs[i + m] if i + m < k else []))
+
+
 def replay_rendered_scenario(lines: list[str], n: int) -> list[int]:
     """Check the step lines of a plain CLI scenario, then return where they end.
 

@@ -243,7 +243,11 @@ class TestListingRoute:
 
 
 class TestRefusals:
-    """Listings and trees above ``cli.MAX_LISTED`` are refused before any work."""
+    """Requests above ``cli.MAX_LISTED`` are refused before any work.
+
+    That cap bounds the members of a listing, the nodes of a tree and the
+    values an evolve walk, a poset or a phi member holds.
+    """
 
     def refused(self, capsys, *argv) -> str:
         start = time.perf_counter()
@@ -269,16 +273,41 @@ class TestRefusals:
                 err = self.refused(capsys, "bijection", "tree", "--depth", depth, "--format", fmt)
                 assert "--count-only" in err
 
+    def test_requests_too_large_to_hold(self, capsys):
+        for argv in (
+            ["evolve", "-n", "1", "--steps", "1000000000"],
+            ["evolve", "-n", "1000000000", "--steps", "1"],
+            ["evolve", "-n", "1000", "--steps", "1000", "--format", "json"],
+            ["poset", "--ladder", "100000000"],
+            ["poset", "--composition", "1000000000"],
+            ["poset", "--composition", "3,999999,2", "--format", "json"],
+            ["bijection", "phi1", "-d", "1000000000", "1,3"],
+            ["bijection", "phi2", "-d", "1000000000", "1,3", "--format", "json"],
+        ):
+            assert "a request may hold" in self.refused(capsys, *argv)
+
     def test_cap_is_inclusive(self, capsys, monkeypatch):
-        # (3, 5) has 10 members; a tree of depth 3 has 1 + 2 + 5 nodes.
+        # (3, 5) has 10 members; a tree of depth 3 has 1 + 2 + 5 nodes; a
+        # 3-step walk on 2 values holds up to 8 values, the 4-step ladder and
+        # the (2, 4) poset have 8 nodes, and a d=6 member has 8 values.
         monkeypatch.setattr(cli, "MAX_LISTED", 10)
         assert run(capsys, "enumerate", "-d", "3", "-n", "5")[0] == 0
         monkeypatch.setattr(cli, "MAX_LISTED", 9)
         self.refused(capsys, "enumerate", "-d", "3", "-n", "5")
+        at_eight = (
+            ["bijection", "tree", "--depth", "3"],
+            ["evolve", "-n", "2", "--steps", "3"],
+            ["poset", "--ladder", "4"],
+            ["poset", "--composition", "2,4"],
+            ["bijection", "phi1", "-d", "6", "1,3"],
+            ["bijection", "phi2", "-d", "6", "1,3"],
+        )
         monkeypatch.setattr(cli, "MAX_LISTED", 8)
-        assert run(capsys, "bijection", "tree", "--depth", "3")[0] == 0
+        for argv in at_eight:
+            assert run(capsys, *argv)[0] == 0
         monkeypatch.setattr(cli, "MAX_LISTED", 7)
-        self.refused(capsys, "bijection", "tree", "--depth", "3")
+        for argv in at_eight:
+            self.refused(capsys, *argv)
 
 
 class TestScenario:

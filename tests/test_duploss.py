@@ -24,7 +24,7 @@ from permdl import (
     synthesize_scenario,
 )
 
-from helpers import all_steps, bfs_distances, list_step
+from helpers import all_steps, bfs_distances, halving_by_rescan, list_step
 
 perms = st.integers(1, 8).flatmap(
     lambda n: st.permutations(list(range(1, n + 1)))
@@ -124,6 +124,18 @@ class TestReachability:
 
 
 class TestSynthesize:
+    @staticmethod
+    def check_against_rescan(p):
+        # Same kept sets as the derivation that rebuilds and rescans every
+        # word, and each replayed state has half its successor's runs,
+        # rounded up.
+        scenario = synthesize_scenario(p)
+        assert [step.kept_first for step in scenario.steps] == halving_by_rescan(p.values)
+        states = list(itertools.accumulate(scenario.steps, apply_step, initial=scenario.start))
+        assert states[-1] == p
+        for before, after in zip(states, states[1:]):
+            assert maximal_runs(before).count == -(-maximal_runs(after).count // 2)
+
     def test_replays_to_target_exhaustively(self):
         for n in range(1, 8):
             for t in itertools.permutations(range(1, n + 1)):
@@ -131,11 +143,20 @@ class TestSynthesize:
                 scenario = synthesize_scenario(p)
                 assert replay(scenario).values == p.values
                 assert len(scenario.steps) == min_steps(p)
+                self.check_against_rescan(p)
 
     def test_identity_needs_no_steps(self):
         scenario = synthesize_scenario(identity(4))
         assert scenario.steps == ()
         assert replay(scenario).values == (1, 2, 3, 4)
+
+    @given(st.integers(1, 300).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+    def test_matches_rescan_by_property(self, values):
+        self.check_against_rescan(Permutation(tuple(values)))
+
+    def test_matches_rescan_on_large_hosts(self):
+        for steps, seed in ((1, 0), (3, 1), (6, 2), (9, 3)):
+            self.check_against_rescan(random_evolution(10**4, steps, seed).end)
 
 
 class TestSplitMix:

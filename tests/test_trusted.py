@@ -87,8 +87,9 @@ def test_apply_step():
 
 
 def test_synthesize_scenario_merged_words(monkeypatch):
-    # The merged words are internal states of the backward synthesis, so
-    # they are caught where they are wrapped.
+    # The synthesis merges run lists and wraps no merged word, so the spy
+    # sees only the word of ``identity``, the scenario's start; were a
+    # merged word ever wrapped again, it would be caught here.
     made = []
     original = Permutation._trusted.__func__
 
