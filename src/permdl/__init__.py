@@ -45,6 +45,7 @@ from .minimal import (
     MinimalityReport,
     count_basis,
     count_by_diamond_type,
+    count_table,
     enumerate_basis,
     enumerate_basis_brute,
     is_minimal,

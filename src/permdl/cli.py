@@ -43,7 +43,7 @@ from .duploss import (
     scenario_to_json,
     synthesize_scenario,
 )
-from .minimal import _slice_words, count_basis, is_minimal
+from .minimal import _slice_words, count_basis, count_table, is_minimal
 from .perm import _integers, descents, maximal_runs, parse_permutation
 from .posets import DescentComposition, build_poset, ladder, poset_edges
 
@@ -64,6 +64,23 @@ def _word_renderer(n: int) -> Callable[[Iterable[int]], str]:
     # text once.
     names = [str(v) for v in range(n + 1)]
     return lambda word: " ".join(map(names.__getitem__, word))
+
+
+def _compositions_exceed(d: int, n: int, cap: int) -> bool:
+    # Whether the size-n slice for d descents has more than cap descent
+    # compositions, comb(d-1, n-d-1), each the composition of at least one
+    # member.  comb(N, i) = comb(N, i-1) * (N-i+1) / i grows with i up to
+    # N/2, so a few factors settle it at any size, where math.comb itself
+    # takes seconds once N passes 10^6.
+    top, k = d - 1, n - d - 1
+    if not 0 <= k <= top:
+        return False
+    c = 1
+    for i in range(1, min(k, top - k) + 1):
+        if c > cap:
+            return True
+        c = c * (top - i + 1) // i
+    return c > cap
 
 
 def _emit(lines: Iterable[str]) -> None:
@@ -168,8 +185,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.size
     if n is None or args.count_only:
         # --count-only is the table of one size.
-        sizes = range(d + 1, 2 * d + 1) if n is None else (n,)
-        counts = {size: count_basis(d, size) for size in sizes}
+        counts = count_table(d) if n is None else {n: count_basis(d, n)}
         if args.format == "bfile":
             _emit(f"{size} {c}" for size, c in counts.items())
         elif args.format == "csv":
@@ -189,7 +205,13 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "bfile":
         raise ValueError("format 'bfile' does not apply here (use plain/json/csv)")
     # The whole slice is built before --limit truncates it, so the cap holds
-    # with or without --limit.
+    # with or without --limit.  A bound refuses most slices over the cap
+    # before they are counted.
+    if _compositions_exceed(d, n, MAX_LISTED):
+        raise ValueError(
+            f"the d={d} n={n} slice has more than the {MAX_LISTED} members a listing may hold "
+            "(at least one per descent composition); use --count-only"
+        )
     count = count_basis(d, n)
     if count > MAX_LISTED:
         raise ValueError(

@@ -15,7 +15,9 @@ permutations instead; it is kept as the oracle the tests and the golden
 files check the labelling route against.  ``count_basis`` counts a slice
 without listing it: since the window rules are local, it scans left to
 right over the relative ranks of the last two values, in time polynomial
-in n.
+in n.  ``count_table`` runs the same scan once over lengths 2..2d and
+reads the count of every size d+1..2d off it, where a table of
+``count_basis`` calls would rescan every short prefix once per size.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "MinimalityReport",
     "count_basis",
     "count_by_diamond_type",
+    "count_table",
     "enumerate_basis",
     "enumerate_basis_brute",
     "is_minimal",
@@ -169,6 +172,57 @@ def enumerate_basis(d: int, n: int) -> BasisSlice:
     return BasisSlice(d, n, tuple(Permutation._trusted(w) for w in _slice_words(d, n)))
 
 
+def _rank_scan(d: int, n: int | None = None) -> dict[int, int]:
+    # Members per size, {m: count} for m in d+1 .. last, counted left to
+    # right by relative rank (see count_basis).  With no target n the scan
+    # runs to 2d and reads every size off one pass; with a target it keeps
+    # only the prefixes that can still end at exactly n, so no count but
+    # counts[n] can be nonzero and the scan stops there.
+    last = 2 * d if n is None else n
+    most = d if n is None else n - 1 - d  # ascents a member may have
+    least = 0 if n is None else most  # ascents a member must have
+
+    def live(m: int, k: int, up: int) -> bool:
+        # The descents left must cover every ascent still owed, and the
+        # current one if the last pair ascended.  Without a target nothing
+        # is owed, and a kept prefix has a descent left, so this holds.
+        return d - (m - 1 - k) >= least - k + up
+
+    counts = dict.fromkeys(range(d + 1, last + 1), 0)
+    # States of the prefixes of length m, keyed (k, up, b); the only prefix
+    # of length 2 is the descent 2 1, which is already a member when d = 1.
+    states: dict[tuple[int, int, int], list[int]] = {(0, 0, 1): [0, 0, 1]}
+    if d == 1:
+        counts[2], states = 1, {}
+    for m in range(2, last):
+        # Columns of the prefixes of length m+1, indexed by a in 1..m+1.
+        grown: defaultdict[tuple[int, int, int], list[int]] = defaultdict(lambda: [0] * (m + 2))
+        done = 0
+        for (k, up, b), column in states.items():
+            below = list(itertools.accumulate(column))  # below[r - 1]: ways with a < r
+            if m - k == d:
+                # A prefix with d-1 descents: a descent uses the last one and
+                # makes it a whole member, which cannot grow (an ascent needs
+                # a later descent), so it is counted and never stored.
+                if live(m + 1, k, 0):
+                    done += sum(below[:b]) if up else b * below[-1]
+            elif live(m + 1, k, 0):
+                # Descent to rank r <= b; after an ascent it must clear the
+                # ascent's bottom a.
+                for r, ways in enumerate(below[:b] if up else [below[-1]] * b, 1):
+                    if ways:
+                        grown[k, 0, r][b + 1] += ways
+            if not up and k < most and live(m + 1, k + 1, 1):
+                # Ascent to rank r > b, whose top must clear a.
+                for r, ways in enumerate(below[b:], b + 1):
+                    if ways:
+                        grown[k + 1, 1, r][b] += ways
+        if done:
+            counts[m + 1] = done
+        states = grown
+    return counts
+
+
 def count_basis(d: int, n: int) -> int:
     """Number of size-n minimal permutations with d descents.
 
@@ -179,7 +233,10 @@ def count_basis(d: int, n: int) -> int:
     summarized by its ascent count k, whether its last pair ascended, the
     rank b of its last value, and a column over the rank a of its
     second-last value.  Appending a value of rank r (1..m+1) shifts the old
-    ranks >= r up by one.  No member is materialized.
+    ranks >= r up by one.  A prefix is kept only while its n-1-d ascents
+    can still all be placed, each followed by a descent, so no prefix
+    reaches d descents before length n.  No member is materialized.  This
+    is the scan of ``count_table`` stopped at n.
 
     >>> [count_basis(4, n) for n in range(5, 9)]
     [1, 32, 84, 14]
@@ -188,36 +245,26 @@ def count_basis(d: int, n: int) -> int:
         raise ValueError("d must be at least 1")
     if not d + 1 <= n <= 2 * d:
         return 0
-    ascents = n - 1 - d
+    return _rank_scan(d, n)[n]
 
-    def live(m: int, k: int, up: int) -> bool:
-        # Every ascent still to come, and the current one if the last pair
-        # ascended, needs a descent after it.
-        return d - (m - 1 - k) >= ascents - k + up
 
-    # States of the prefixes of length m, keyed (k, up, b); the only prefix
-    # of length 2 is the descent 2 1.
-    states: dict[tuple[int, int, int], list[int]] = {(0, 0, 1): [0, 0, 1]}
-    for m in range(2, n):
-        # Columns of the prefixes of length m+1, indexed by a in 1..m+1.
-        grown: defaultdict[tuple[int, int, int], list[int]] = defaultdict(lambda: [0] * (m + 2))
-        for (k, up, b), column in states.items():
-            below = list(itertools.accumulate(column))  # below[r - 1]: ways with a < r
-            if live(m + 1, k, 0):
-                # Descent to rank r <= b; after an ascent it must clear the
-                # ascent's bottom a.
-                for r in range(1, b + 1):
-                    ways = below[r - 1] if up else below[-1]
-                    if ways:
-                        grown[k, 0, r][b + 1] += ways
-            if not up and k < ascents and live(m + 1, k + 1, 1):
-                # Ascent to rank r > b, whose top must clear a.
-                for r in range(b + 1, m + 2):
-                    if below[r - 1]:
-                        grown[k + 1, 1, r][b] += below[r - 1]
-        states = grown
-    # At length n, live states have exactly n-1-d ascents and end descending.
-    return sum(sum(column) for column in states.values())
+def count_table(d: int) -> dict[int, int]:
+    """Numbers of minimal permutations with d descents, size by size.
+
+    The whole table ``{n: count_basis(d, n)}`` for n = d+1 .. 2d, read off
+    one left-to-right rank scan over lengths 2..2d instead of one scan per
+    size: at each length, the prefixes that have just used their d-th
+    descent are the members of that size.  Such a prefix cannot grow (an
+    ascent needs a later descent), so it is counted and dropped.
+
+    >>> count_table(4)
+    {5: 1, 6: 32, 7: 84, 8: 14}
+    >>> count_table(1)
+    {2: 1}
+    """
+    if d < 1:
+        raise ValueError("d must be at least 1")
+    return _rank_scan(d)
 
 
 def count_by_diamond_type(d: int) -> tuple[int, int]:

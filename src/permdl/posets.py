@@ -117,6 +117,17 @@ class DiamondPoset:
         if seen != self.size:
             raise ValueError("cover relation contains a cycle")
 
+    @classmethod
+    def _trusted(cls, size: int, covers: frozenset[tuple[int, int]]) -> DiamondPoset:
+        # For the covers build_poset made: each joins two positions in
+        # 1..size, and every minimal permutation with that composition
+        # labels them in order, so they have no cycle.  The range and Kahn
+        # checks above are skipped.
+        poset = object.__new__(cls)
+        object.__setattr__(poset, "size", size)
+        object.__setattr__(poset, "covers", covers)
+        return poset
+
 
 def build_poset(composition: DescentComposition) -> DiamondPoset:
     """Shape poset of the minimal permutations with the given composition."""
@@ -131,7 +142,7 @@ def build_poset(composition: DescentComposition) -> DiamondPoset:
             covers.add((i, i + 2))
             covers.add((i - 1, i + 1))
         pos += b + 1
-    return DiamondPoset(composition.n, frozenset(covers))
+    return DiamondPoset._trusted(composition.n, frozenset(covers))
 
 
 def ladder(d: int) -> DiamondPoset:

@@ -172,6 +172,21 @@ class TestEnumerate:
             assert code == 0
             assert out == f"{want}\n"
 
+    def test_large_table_from_one_scan(self, capsys):
+        # One scan over lengths 2..80 gives all 40 sizes.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "enumerate", "-d", "40")
+        assert time.perf_counter() - start < 4.0
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "# d=40 sizes 41..80"
+        counts = dict(map(int, line.split()) for line in lines[1:-1])
+        assert list(counts) == list(range(41, 81))
+        # Sizes d+1, d+2 and 2d have closed forms; the Catalan number C_40 is the last.
+        assert counts[41] == 1 and counts[42] == 2**42 - 41 * 42 - 2
+        assert counts[80] == 2622127042276492108820
+        assert lines[-1] == f"total {sum(counts.values())}"
+
     def test_count_only_bfile(self, capsys):
         code, out, _ = run(capsys, "enumerate", "-d", "3", "-n", "6", "--count-only", "--format", "bfile")
         assert code == 0
@@ -264,6 +279,10 @@ class TestRefusals:
             ["enumerate", "-d", "10", "-n", "16", "--limit", "5"],
             ["enumerate", "-d", "30", "-n", "45", "--limit", "5", "--format", "json"],
             ["enumerate", "-d", "8", "-n", "12", "--format", "csv"],
+            # Refused on the number of descent compositions, before the
+            # count, which takes about 1 and 13 s for these slices.
+            ["enumerate", "-d", "60", "-n", "90"],
+            ["enumerate", "-d", "100", "-n", "150", "--limit", "5"],
         ):
             assert "--count-only" in self.refused(capsys, *argv)
 
@@ -308,6 +327,22 @@ class TestRefusals:
         monkeypatch.setattr(cli, "MAX_LISTED", 7)
         for argv in at_eight:
             self.refused(capsys, *argv)
+
+    def test_composition_bound_refuses_before_counting(self, capsys, monkeypatch):
+        # (5, 7) has comb(4, 1) = 4 descent compositions and 84 members.  At
+        # a cap of 4 the bound leaves it open and the count refuses it; at 3
+        # the bound refuses it without a count.
+        monkeypatch.setattr(cli, "MAX_LISTED", 4)
+        err = self.refused(capsys, "enumerate", "-d", "5", "-n", "7")
+        assert err == "error: the d=5 n=7 slice has 84 members, more than the 4 a listing may hold; use --count-only\n"
+
+        def no_count(d, n):
+            raise AssertionError("counted a slice the bound refuses")
+
+        monkeypatch.setattr(cli, "count_basis", no_count)
+        monkeypatch.setattr(cli, "MAX_LISTED", 3)
+        err = self.refused(capsys, "enumerate", "-d", "5", "-n", "7")
+        assert "(at least one per descent composition); use --count-only" in err
 
 
 class TestScenario:

@@ -11,6 +11,7 @@ from permdl import (
     all_permutations,
     count_basis,
     count_by_diamond_type,
+    count_table,
     descents,
     enumerate_basis,
     enumerate_basis_brute,
@@ -163,9 +164,23 @@ class TestEnumerate:
 
 class TestCountBasis:
     def test_matches_composition_oracle(self):
+        # Both rank counters, the per-size scan and the one-scan table.
         for d in range(1, 12):
+            table = count_table(d)
+            assert list(table) == list(range(d + 1, 2 * d + 1))
             for n in range(1, 2 * d + 3):
-                assert count_basis(d, n) == composition_count(d, n), (d, n)
+                want = composition_count(d, n)
+                assert count_basis(d, n) == want, (d, n)
+                assert table.get(n, 0) == want, (d, n)
+
+    def test_table_equals_count_basis_to_d_20(self):
+        for d in range(1, 21):
+            assert count_table(d) == {n: count_basis(d, n) for n in range(d + 1, 2 * d + 1)}, d
+
+    def test_table_rejects_bad_d(self):
+        for d in (0, -1):
+            with pytest.raises(ValueError):
+                count_table(d)
 
     def test_closed_forms_to_d_60(self):
         for d in range(1, 61):

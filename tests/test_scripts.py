@@ -21,6 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
         # Replays each synthesized scenario through ``replay``.
         ("evolution_demo.py", ["-n", "12", "--steps", "3", "--trials", "5", "--seed", "42"], 5),
         ("basis_counts.py", ["--max-d", "6"], 6),
+        ("basis_counts.py", ["--max-d", "30"], 30),
     ],
 )
 def test_script_runs(script, args, lines):

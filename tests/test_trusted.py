@@ -1,11 +1,13 @@
 """Every site that wraps words without the checks of the public constructors.
 
 ``Permutation._trusted`` skips the range and duplicate loop (the library
-built the word, or ``parse_permutation`` checked it in one pass), and
-``eco_children`` skips the minimality check of ``EcoNode``.  Each test here
-rebuilds a sample of one site's outputs through the public, checking
-constructors and requires an equal object, so a site that ever produced a
-non-permutation (or a non-minimal tree node) fails here rather than later.
+built the word, or ``parse_permutation`` checked it in one pass),
+``eco_children`` skips the minimality check of ``EcoNode``, and
+``build_poset`` skips the range and cycle checks of ``DiamondPoset``.  Each
+test here rebuilds a sample of one site's outputs through the public,
+checking constructors and requires an equal object, so a site that ever
+produced a non-permutation (or a non-minimal tree node, or a cyclic poset)
+fails here rather than later.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import itertools
 import pytest
 
 from permdl import (
+    DiamondPoset,
     DuplicationStep,
     DyckPath,
     EcoNode,
@@ -26,6 +29,7 @@ from permdl import (
     enumerate_basis,
     generating_tree,
     identity,
+    ladder,
     non_interval_subsets,
     parse_permutation,
     phi1,
@@ -77,6 +81,15 @@ def test_authorized_labellings():
             for c in compositions(d, n):
                 for p in authorized_labellings(build_poset(c)):
                     rebuilt(p)
+
+
+def test_build_poset_and_ladder():
+    posets = [ladder(d) for d in range(1, 51)]
+    for d in range(1, 9):
+        posets += [build_poset(c) for n in range(d + 1, 2 * d + 1) for c in compositions(d, n)]
+    for p in posets:
+        q = DiamondPoset(p.size, p.covers)
+        assert q == p and hash(q) == hash(p) and type(p.covers) is frozenset
 
 
 def test_apply_step():
