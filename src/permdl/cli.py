@@ -3,11 +3,12 @@
 Every command is deterministic for fixed arguments (including --seed), and
 identical invocations print byte-identical output.  Slice listings come from
 the labellings of the shape posets, the one production enumeration route,
-and are rendered from those raw words: the library built them, so they are
-not checked again on the way out.  A listing or a generating tree with more
-than MAX_LISTED members is refused before anything is built; counts stay
-available through --count-only.  So are an evolve walk, a poset and a phi
-member too large to hold.  Exit codes: 0 for success or a true
+and are rendered from the digits of those packed words: the library built
+them, so they are not checked again on the way out.  A listing or a
+generating tree with more than MAX_LISTED members is refused before
+anything is built; counts stay available through --count-only.  So are an
+evolve walk, a poset, a phi member and a slice member too large to hold,
+the last with or without --count-only.  Exit codes: 0 for success or a true
 predicate, 1 for a false predicate (``check`` on a non-minimal permutation),
 2 for usage or parse errors and refused requests.
 """
@@ -43,14 +44,24 @@ from .duploss import (
     scenario_to_json,
     synthesize_scenario,
 )
-from .minimal import _slice_words, count_basis, count_table, is_minimal
+from .minimal import count_basis, count_table, is_minimal
 from .perm import _integers, descents, maximal_runs, parse_permutation
-from .posets import DescentComposition, build_poset, ladder, poset_edges
+from .posets import (
+    DescentComposition,
+    _digits,
+    _packed_labellings,
+    _unpack,
+    build_poset,
+    compositions,
+    ladder,
+    poset_edges,
+)
 
 
 # The most members a listing, or nodes a tree, may hold, and the most values
-# an evolve walk, a poset or a phi member may hold: a larger answer is refused
-# up front, since it is built whole in memory before it is printed.
+# an evolve walk, a poset, a phi member or a slice member may hold: a larger
+# answer is refused up front, since it is built whole in memory before it is
+# printed.
 MAX_LISTED = 10**6
 
 # Lines per write in listings and trees, so that a long one is never held
@@ -83,9 +94,29 @@ def _compositions_exceed(d: int, n: int, cap: int) -> bool:
     return c > cap
 
 
+def _check_member_size(d: int, n: int) -> None:
+    # The closed forms of count_basis and the posets of a listing take
+    # memory in proportion to n, so past the cap neither is made.  An empty
+    # slice, n outside d+1..2d, has no members and passes.
+    if d < n <= 2 * d and n > MAX_LISTED:
+        raise ValueError(f"a d={d} member of size {n} is more than the {MAX_LISTED} values a request may hold")
+
+
 def _emit(lines: Iterable[str]) -> None:
     for line in lines:
         print(line)
+
+
+def _emit_words(words: list[int], n: int) -> None:
+    # Packed words over 1..n, one line each, _CHUNK_LINES words per write.
+    # Digit 0 of every word is named as the line break, so a chunk renders
+    # with one join: "3 1 4 2 \n 2 1 4 3 \n" loses its inner " \n " to
+    # "\n" and its final " \n" to the trailing line break.
+    names = ["\n", *map(str, range(1, n + 1))] if words else []
+    for start in range(0, len(words), _CHUNK_LINES):
+        digits = _digits(words[start : start + _CHUNK_LINES], n)
+        text = " ".join(map(names.__getitem__, digits)).replace(" \n ", "\n")
+        sys.stdout.write(text[:-2] + "\n")
 
 
 def _emit_listing(lines: Iterable[str]) -> None:
@@ -185,6 +216,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     n = args.size
     if n is None or args.count_only:
         # --count-only is the table of one size.
+        if n is not None:
+            _check_member_size(d, n)
         counts = count_table(d) if n is None else {n: count_basis(d, n)}
         if args.format == "bfile":
             _emit(f"{size} {c}" for size, c in counts.items())
@@ -218,25 +251,28 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             f"the d={d} n={n} slice has {count} members, more than the {MAX_LISTED} "
             "a listing may hold; use --count-only"
         )
-    words = _slice_words(d, n)
+    _check_member_size(d, n)
+    words = _packed_labellings(map(build_poset, compositions(d, n)), n)
     truncated = args.limit is not None and len(words) > args.limit
     shown = words[: args.limit] if truncated else words
     if args.format == "json":
-        payload = {"d": d, "n": n, "count": len(words), "members": [list(w) for w in shown]}
+        payload = {"d": d, "n": n, "count": len(words), "members": list(_unpack(shown, n))}
         if truncated:
             payload["truncated"] = True
         print(json.dumps(payload))
         return 0
     trailer = [f"# truncated at {args.limit}"] if truncated else []
-    # The table of value names is sized from the members, never from the
-    # requested n alone: an empty slice (any n outside d+1..2d) needs none.
-    render = _word_renderer(n if words else 0)
     if args.format == "csv":
-        rows = (f"{i},{render(w)}" for i, w in enumerate(shown, start=1))
+        # The table of value names is sized from the members, never from
+        # the requested n alone: an empty slice (any n outside d+1..2d)
+        # needs none.
+        render = _word_renderer(n if words else 0)
+        rows = (f"{i},{render(w)}" for i, w in enumerate(_unpack(shown, n), start=1))
         _emit_listing(itertools.chain(["index,permutation"], rows, trailer))
     else:
-        header = f"# d={d} n={n} count={len(words)}"
-        _emit_listing(itertools.chain([header], map(render, shown), trailer))
+        print(f"# d={d} n={n} count={len(words)}")
+        _emit_words(shown, n)
+        _emit(trailer)
     return 0
 
 

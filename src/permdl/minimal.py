@@ -10,14 +10,16 @@ played against each other in tests.
 
 Minimal permutations with d descents have sizes between d+1 and 2d.  Each
 slice is enumerated from the authorized labellings of the shape posets of
-its descent compositions.  ``enumerate_basis_brute`` filters all n!
-permutations instead; it is kept as the oracle the tests and the golden
-files check the labelling route against.  ``count_basis`` counts a slice
-without listing it: since the window rules are local, it scans left to
-right over the relative ranks of the last two values, in time polynomial
-in n.  ``count_table`` runs the same scan once over lengths 2..2d and
-reads the count of every size d+1..2d off it, where a table of
-``count_basis`` calls would rescan every short prefix once per size.
+its descent compositions, peeled as packed integer words and sorted as
+integers.  ``enumerate_basis_brute`` filters all n! permutations instead;
+it is kept as the oracle the tests and the golden files check the
+labelling route against.  ``count_basis`` counts a slice without listing
+it: since the window rules are local, it scans left to right over the
+relative ranks of the last two values, in time polynomial in n, and
+answers the sizes d+1, d+2, 2d-1 and 2d in closed form.  ``count_table``
+runs the same scan once over lengths 2..2d and reads the count of every
+size d+1..2d off it, where a table of ``count_basis`` calls would rescan
+every short prefix once per size.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from math import comb
 
 from .perm import Permutation, descent_count
-from .posets import DiamondPoset, _labelling_words, build_poset, compositions, count_labellings
+from .posets import DiamondPoset, _packed_labellings, _unpack, build_poset, compositions, count_labellings
 
 __all__ = [
     "BasisSlice",
@@ -155,21 +158,17 @@ def enumerate_basis_brute(d: int, n: int) -> BasisSlice:
     return BasisSlice(d, n, tuple(Permutation(w) for w in words if _window_failure(w, d) is None))
 
 
-def _slice_words(d: int, n: int) -> list[tuple[int, ...]]:
-    # The members of the size-n slice as raw words, sorted.  Every labelling
-    # word is a minimal permutation already, so callers need not check them.
-    return sorted(w for c in compositions(d, n) for w in _labelling_words(build_poset(c)))
-
-
 def enumerate_basis(d: int, n: int) -> BasisSlice:
     """The size-n slice of minimal permutations with d descents.
 
     Sizes outside d+1 .. 2d yield an empty slice.  Members are the authorized
     labellings of the shape posets of all descent compositions, merged and
-    sorted lexicographically.  They are permutations by construction, so they
-    are wrapped without running the checks of ``Permutation`` again.
+    sorted lexicographically as packed words.  They are permutations by
+    construction, so they are wrapped without running the checks of
+    ``Permutation`` again.
     """
-    return BasisSlice(d, n, tuple(Permutation._trusted(w) for w in _slice_words(d, n)))
+    words = _packed_labellings(map(build_poset, compositions(d, n)), n)
+    return BasisSlice(d, n, tuple(map(Permutation._trusted, _unpack(words, n))))
 
 
 def _rank_scan(d: int, n: int | None = None) -> dict[int, int]:
@@ -238,6 +237,11 @@ def count_basis(d: int, n: int) -> int:
     reaches d descents before length n.  No member is materialized.  This
     is the scan of ``count_table`` stopped at n.
 
+    The four edge sizes have closed forms, answered without the scan: one
+    member at n = d+1, 2**(d+2) - (d+1)(d+2) - 2 at n = d+2,
+    2**(d-2) * C(2d-1, d-2) at n = 2d-1 and the Catalan number at n = 2d.
+    The tests check them against the scan.
+
     >>> [count_basis(4, n) for n in range(5, 9)]
     [1, 32, 84, 14]
     """
@@ -245,6 +249,14 @@ def count_basis(d: int, n: int) -> int:
         raise ValueError("d must be at least 1")
     if not d + 1 <= n <= 2 * d:
         return 0
+    if n == d + 1:
+        return 1
+    if n == d + 2:
+        return 2 ** (d + 2) - (d + 1) * (d + 2) - 2
+    if n == 2 * d - 1:
+        return 2 ** (d - 2) * comb(2 * d - 1, d - 2)
+    if n == 2 * d:
+        return comb(2 * d, d) // (d + 1)
     return _rank_scan(d, n)[n]
 
 

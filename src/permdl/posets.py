@@ -10,7 +10,12 @@ i+2 are two incomparable middle nodes.
 
 The labellings of such a poset with 1..n that place larger values above
 smaller ones are exactly the minimal permutations with that descent
-composition, which is what makes these posets worth enumerating.
+composition, which is what makes these posets worth enumerating.  One
+down-set peel counts and lists them: it hands the values n..1 to maximal
+nodes, one per layer, and carries per remaining down-set either a count
+(``count_labellings``) or a list of partial labellings packed into
+integers (``authorized_labellings`` and the slice listings), which one
+integer add per word extends by a node.
 
 Covers are stored as (lower, upper) pairs of positions: the value at
 ``lower`` must be smaller than the value at ``upper``.
@@ -19,8 +24,11 @@ Covers are stored as (lower, upper) pairs of positions: the value at
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .perm import Permutation
 
@@ -156,54 +164,99 @@ def ladder(d: int) -> DiamondPoset:
     return build_poset(DescentComposition((1,) * d))
 
 
-def _upmasks(poset: DiamondPoset) -> list[int]:
-    # upmask[x] has bit y-1 set for every node y covering node x.
-    upmask = [0] * (poset.size + 1)
-    for lo, hi in poset.covers:
-        upmask[lo] |= 1 << (hi - 1)
-    return upmask
+def _cover_offsets(poset: DiamondPoset) -> list[tuple[int, int]]:
+    # (offset, lowers) for each offset up - lo among the covers (lo, up):
+    # lowers has bit lo-1 set for every such cover.  A shape poset has two
+    # offsets, -1 within blocks and +2 across ascents.
+    lowers: defaultdict[int, int] = defaultdict(int)
+    for lo, up in poset.covers:
+        lowers[up - lo] |= 1 << (lo - 1)
+    return list(lowers.items())
 
 
-def _labelling_words(poset: DiamondPoset) -> list[tuple[int, ...]]:
-    # The down-set walk of count_labellings, recording words instead of
-    # counting.  Every remaining set is a down-set and so has a maximal node:
-    # no branch dead-ends, so every step of the walk leads to output words.
-    # An explicit stack of (remaining down-set, node, value given to it)
-    # keeps the depth off the interpreter's recursion limit.  Everything
-    # popped below an entry labels nodes of its remaining down-set only, so
-    # word holds the labels of the whole current path.  Slot 0 is the root's.
-    n = poset.size
-    upmask = _upmasks(poset)
-    word = [0] * (n + 1)
-    found: list[tuple[int, ...]] = []
-    stack = [((1 << n) - 1, 0, n + 1)]
-    while stack:
-        mask, node, value = stack.pop()
-        word[node] = value
-        if not mask:
-            found.append(tuple(word[1:]))
-            continue
-        value -= 1
-        m = mask
-        while m:
-            bit = m & -m
-            m ^= bit
-            node = bit.bit_length()
-            if upmask[node] & mask == 0:
-                stack.append((mask ^ bit, node, value))
-    return found
+def _digit_code(n: int) -> str:
+    # Array type code of the digits of packed words over the values 1..n:
+    # one, two or four bytes each.
+    return "B" if n < 1 << 8 else "H" if n < 1 << 16 else "I"
+
+
+def _peel(poset: DiamondPoset, seed, grow):
+    # The down-set DP behind count_labellings and the listings: values n..1
+    # go one per layer to a maximal node of the remaining down-set, keyed by
+    # its bitmask.  The whole poset carries seed, and a move that labels
+    # node with value carries grow(carried, value, node); what reaches one
+    # down-set from several is summed (ints add, lists extend).
+    offsets = _cover_offsets(poset)
+    layer = {(1 << poset.size) - 1: seed}
+    for value in range(poset.size, 0, -1):
+        below = defaultdict(type(seed))
+        for mask, carried in layer.items():
+            # The maximal nodes, those with no upper cover left in mask, from
+            # one shift per cover offset: the loop below visits no other node.
+            covered = 0
+            for offset, lowers in offsets:
+                covered |= (mask >> offset if offset > 0 else mask << -offset) & lowers
+            free = mask & ~covered
+            while free:
+                bit = free & -free
+                free ^= bit
+                below[mask ^ bit] += grow(carried, value, bit.bit_length())
+        layer = below
+    return layer[0]
+
+
+def _packed_labellings(posets: Iterable[DiamondPoset], n: int) -> list[int]:
+    # The labellings of several posets on n nodes, merged and sorted, as
+    # packed words: position i is digit n+1-i in base 256**k, k the bytes
+    # of a _digit_code(n) digit, and digit 0 stays 0.  Numeric order is
+    # lexicographic order.  A layer of the peel holds one word per partial
+    # labelling, each with its own completions, so it never outgrows the
+    # final list.
+    bits = 8 * array(_digit_code(n)).itemsize
+
+    def grow(words: list[int], value: int, node: int) -> Iterator[int]:
+        return map((value << bits * (n + 1 - node)).__add__, words)
+
+    words: list[int] = []
+    for poset in posets:
+        words += _peel(poset, [0], grow)
+    words.sort()
+    return words
+
+
+def _digits(words: list[int], n: int) -> array:
+    # Every digit of the packed words over 1..n, most significant first:
+    # each word gives its values in position order, then its digit 0.
+    digits = array(_digit_code(n))
+    length = (n + 1) * digits.itemsize
+    digits.frombytes(b"".join(w.to_bytes(length, "big") for w in words))
+    if digits.itemsize > 1 and sys.byteorder == "little":
+        digits.byteswap()
+    return digits
+
+
+def _unpack(words: list[int], n: int) -> Iterator[tuple[int, ...]]:
+    # The packed words over 1..n as tuples of values in position order.
+    # Nothing is sized from n unless there are words to unpack.
+    if not words or n < 1:
+        return iter([()] * len(words))
+    digits = _digits(words, n)
+    del digits[n :: n + 1]
+    return zip(*[iter(digits)] * n)
 
 
 def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:
     """All labellings of the poset with 1..n placing larger values higher.
 
-    Values are assigned n down to 1; each value goes to a node all of whose
-    upper covers are already labelled.  Results are yielded as permutations
-    in position order, sorted lexicographically.  Counts stay small at the
-    scales this project works at (bounded by a Catalan number), so the full
-    set is materialized before sorting.
+    The peel of ``count_labellings`` run over packed words instead of
+    counts: each down-set carries a list of partial labellings, each an
+    integer, and labelling a node with a value adds one shifted digit to
+    every word in the list at once.  The words are sorted as integers,
+    which is lexicographic order, and yielded as permutations in position
+    order.  Counts stay small at the scales this project works at (bounded
+    by a Catalan number), so the full set is materialized before sorting.
     """
-    for word in sorted(_labelling_words(poset)):
+    for word in _unpack(_packed_labellings([poset], poset.size), poset.size):
         yield Permutation._trusted(word)
 
 
@@ -214,22 +267,9 @@ def count_labellings(poset: DiamondPoset) -> int:
     remaining value off a maximal node, one value per layer, carrying the
     number of ways to reach each remaining set (a bitmask).  The layered
     block structure keeps the number of distinct down-sets small, far below
-    2**n.
+    2**n.  ``authorized_labellings`` runs the same peel over words.
     """
-    upmask = _upmasks(poset)
-    layer = {(1 << poset.size) - 1: 1}
-    for _ in range(poset.size):
-        below: dict[int, int] = {}
-        for mask, ways in layer.items():
-            m = mask
-            while m:
-                bit = m & -m
-                m ^= bit
-                if upmask[bit.bit_length()] & mask == 0:
-                    rest = mask ^ bit
-                    below[rest] = below.get(rest, 0) + ways
-        layer = below
-    return layer[0]
+    return _peel(poset, 1, lambda ways, value, node: ways)
 
 
 def poset_edges(poset: DiamondPoset) -> str:

@@ -51,6 +51,15 @@ def definition_minimal(p: Permutation, d: int) -> bool:
     return True
 
 
+def packed_word(word: tuple[int, ...], n: int) -> int:
+    """A word over 1..n packed byte by byte: position i in digit n+1-i, digit 0 left 0.
+
+    Digits are one byte below n = 256, two below 65536 and four above.
+    """
+    size = 1 if n < 1 << 8 else 2 if n < 1 << 16 else 4
+    return int.from_bytes(b"".join(v.to_bytes(size, "big") for v in (*word, 0)), "big")
+
+
 def composition_count(d: int, n: int) -> int:
     """Size-n minimal permutations with d descents, one descent composition at a time.
 

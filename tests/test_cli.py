@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import permdl
 from permdl import cli, count_basis, enumerate_basis, generating_tree, random_evolution, scenario_to_json, slice_to_text
 from permdl.cli import main
 
-from helpers import replay_rendered_scenario
+from helpers import packed_word, replay_rendered_scenario
 
 
 def run(capsys, *argv):
@@ -164,8 +165,16 @@ class TestEnumerate:
 
     def test_count_only_far_beyond_listing(self, capsys):
         # (30, 45) has 77.5 million descent compositions; (1200, 1201) one of
-        # 1201 elements.  Neither may take long.
-        for d, n, want in ((30, 45, count_basis(30, 45)), (1200, 1201, 1)):
+        # 1201 elements.  The edge sizes are answered in closed form.  None
+        # may take long.
+        for d, n, want in (
+            (30, 45, count_basis(30, 45)),
+            (1200, 1201, 1),
+            (400, 402, 2**402 - 401 * 402 - 2),
+            (1000, 1002, 2**1002 - 1001 * 1002 - 2),
+            (1200, 2399, 2**1198 * comb(2399, 1198)),
+            (1200, 2400, comb(2400, 1200) // 1201),
+        ):
             start = time.perf_counter()
             code, out, _ = run(capsys, "enumerate", "-d", str(d), "-n", str(n), "--count-only")
             assert time.perf_counter() - start < 1.0
@@ -241,6 +250,38 @@ class TestListingRoute:
             assert levels == [[str(node.perm) for node in level] for level in want]
             assert sizes == "level sizes: " + " ".join(str(len(level)) for level in want)
 
+    def test_reversed_identity_past_one_byte_digits(self, capsys):
+        # The one member of the size-(d+1) slice, with values past 255.
+        for d in (255, 256, 300):
+            word = list(range(d + 1, 0, -1))
+            text = " ".join(map(str, word))
+            want = {
+                "plain": f"# d={d} n={d + 1} count=1\n{text}\n",
+                "json": json.dumps({"d": d, "n": d + 1, "count": 1, "members": [word]}) + "\n",
+                "csv": f"index,permutation\n1,{text}\n",
+            }
+            for fmt, out in want.items():
+                assert run(capsys, "enumerate", "-d", str(d), "-n", str(d + 1), "--format", fmt) == (0, out, "")
+
+    def test_wide_digits_render_like_words(self, capsys):
+        # Two- and four-byte digits, which only the one-member slices reach.
+        for n in (256, 65536):
+            words = sorted([tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))])
+            cli._emit_words([packed_word(w, n) for w in words], n)
+            assert capsys.readouterr().out == "".join(" ".join(map(str, w)) + "\n" for w in words)
+
+    def test_chunked_writes_change_no_byte(self, capsys, monkeypatch):
+        cases = [
+            ("enumerate", "-d", str(d), "-n", str(n), "--format", fmt, *limit)
+            for d in range(1, 7)
+            for n in range(d + 1, 2 * d + 1)
+            for fmt in ("plain", "csv")
+            for limit in ((), ("--limit", "3"), ("--limit", "7"))
+        ]
+        whole = [run(capsys, *argv) for argv in cases]
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 7)
+        assert [run(capsys, *argv) for argv in cases] == whole
+
     def test_empty_slice_of_huge_size_answers_at_once(self, capsys):
         # n is far outside d+1..2d: the slice is empty, and nothing may be
         # sized from n itself.
@@ -283,6 +324,9 @@ class TestRefusals:
             # count, which takes about 1 and 13 s for these slices.
             ["enumerate", "-d", "60", "-n", "90"],
             ["enumerate", "-d", "100", "-n", "150", "--limit", "5"],
+            # Refused on the exact count, in closed form.
+            ["enumerate", "-d", "1200", "-n", "2399"],
+            ["enumerate", "-d", "1000", "-n", "1002", "--format", "csv"],
         ):
             assert "--count-only" in self.refused(capsys, *argv)
 
@@ -302,6 +346,8 @@ class TestRefusals:
             ["poset", "--composition", "3,999999,2", "--format", "json"],
             ["bijection", "phi1", "-d", "1000000000", "1,3"],
             ["bijection", "phi2", "-d", "1000000000", "1,3", "--format", "json"],
+            ["enumerate", "-d", "1000000", "-n", "1000001"],
+            ["enumerate", "-d", "1000000000", "-n", "1000000002", "--count-only"],
         ):
             assert "a request may hold" in self.refused(capsys, *argv)
 

@@ -22,6 +22,7 @@ from permdl import (
     slice_to_text,
     standardize,
 )
+from permdl.minimal import _rank_scan, _window_failure
 
 from helpers import composition_count, definition_minimal
 
@@ -153,6 +154,15 @@ class TestEnumerate:
             assert count_basis(d, d + 2) == closed_form_slice_count(d)
         assert count_basis(7, 9) == 438
 
+    def test_listings_past_the_brute_route(self):
+        # Packed words sorted as integers, checked member by member and
+        # counted against the rank scan.
+        for d, n in [(7, 11), (7, 13), (11, 22)]:
+            words = [p.values for p in enumerate_basis(d, n).members]
+            assert len(words) == _rank_scan(d, n)[n]
+            assert all(a < b for a, b in zip(words, words[1:]))
+            assert all(_window_failure(w, d) is None for w in words)
+
     @given(st.integers(1, 5), st.data())
     def test_members_are_minimal(self, d, data):
         n = data.draw(st.integers(d + 1, min(2 * d, 9)))
@@ -183,10 +193,14 @@ class TestCountBasis:
                 count_table(d)
 
     def test_closed_forms_to_d_60(self):
+        # count_basis answers these sizes in closed form; the scan is the oracle.
         for d in range(1, 61):
-            assert count_basis(d, d + 1) == 1
-            assert count_basis(d, d + 2) == closed_form_slice_count(d)
-            assert count_basis(d, 2 * d) == comb(2 * d, d) // (d + 1)
+            assert _rank_scan(d, d + 1)[d + 1] == count_basis(d, d + 1) == 1
+            assert _rank_scan(d, d + 2)[d + 2] == count_basis(d, d + 2) == closed_form_slice_count(d)
+            if 2 <= d <= 40:  # scanning on to d = 60 would add about 2 s
+                want = 2 ** (d - 2) * comb(2 * d - 1, d - 2)
+                assert _rank_scan(d, 2 * d - 1)[2 * d - 1] == count_basis(d, 2 * d - 1) == want
+            assert _rank_scan(d, 2 * d)[2 * d] == count_basis(d, 2 * d) == comb(2 * d, d) // (d + 1)
 
     def test_zero_outside_d_plus_1_to_2d(self):
         for d in range(1, 61):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -22,6 +23,9 @@ from permdl import (
     parse_permutation,
     poset_edges,
 )
+from permdl.posets import _digit_code, _digits, _unpack
+
+from helpers import packed_word
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -143,9 +147,34 @@ class TestLabellings:
             assert is_minimal(p, comp.d).is_minimal
             assert descending_block_composition(p) == comp.run_lengths
 
+    def test_count_equals_listing_length(self):
+        # The two uses of the one peel, on every composition up to 10 nodes
+        # (d <= 9 in full would list 2.7e8 labellings at d = 9 alone).
+        for d in range(1, 10):
+            for n in range(d + 1, min(2 * d, 10) + 1):
+                for comp in compositions(d, n):
+                    poset = build_poset(comp)
+                    assert count_labellings(poset) == len(list(authorized_labellings(poset))), comp
+
     def test_one_block_means_reverse_identity(self):
         # d = 1200 is far deeper than the interpreter's recursion limit.
         for d in (4, 1200):
             poset = build_poset(DescentComposition((d,)))
             assert [p.values for p in authorized_labellings(poset)] == [tuple(range(d + 1, 0, -1))]
         assert count_basis(1200, 1201) == 1
+
+
+class TestPackedWords:
+    @pytest.mark.parametrize("n, code", [(1, "B"), (255, "B"), (256, "H"), (65535, "H"), (65536, "I")])
+    def test_round_trip_and_order(self, n, code):
+        # Synthetic words at the edges of the 1-, 2- and 4-byte digits.
+        assert _digit_code(n) == code
+        words = [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))]
+        packed = [packed_word(w, n) for w in words]
+        assert list(_unpack(packed, n)) == words
+        assert sorted(packed) == [packed_word(w, n) for w in sorted(words)]
+        assert len(_digits(packed, n)) == len(words) * (n + 1)
+
+    def test_empty(self):
+        assert list(_unpack([], 10**9)) == []
+        assert list(_unpack([0], 0)) == [()]
