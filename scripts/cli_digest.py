@@ -1,0 +1,139 @@
+#!/usr/bin/env python3
+"""Digest what the permdl CLI answers to a fixed corpus of requests.
+
+Each argv of the corpus runs through ``permdl.cli.main`` in this process,
+with stdout and stderr captured.  The script writes one JSON object per
+argv: the argv, a sha256 of (exit code, stdout) and a sha256 of stderr, so a
+change of refusal text can be told from a change of answer.  Run it on two
+checkouts and compare, to show that a change of the CLI keeps its bytes:
+
+    PYTHONPATH=src python scripts/cli_digest.py > before.json
+    # ... change the code ...
+    PYTHONPATH=src python scripts/cli_digest.py --against before.json
+
+With ``--against FILE`` nothing is written; each argv whose digests differ
+from FILE is printed with what differs, and the exit code is 1 if any do.
+
+The corpus holds every ``enumerate -d 0..D`` table and every ``-n 0..2d+2``
+slice in every format, alone, with ``--limit 3`` and with ``--count-only``;
+trees to depth 8; both phi maps forward and inverted for every non-interval
+subset with d <= 6; and stats, check, scenario, dyck, evolve, poset, counts
+past 4,300 digits and the refusals.  ``--max-d`` sets D (default 9) and
+bounds the trees and phi subsets too.  The full corpus takes about 13 s
+(Python 3.11, 2-core VM).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+
+from permdl import cli, non_interval_subsets, phi1, phi2
+
+PERMS = ["6 9 8 4 1 3 7 2 5", "3 1 4 2", "1 2 3", "2 1", "5 4 3 2 1", "1 3 2 0", "1 1"]
+
+REFUSALS = [
+    ["enumerate", "-d", "10", "-n", "16"],
+    ["enumerate", "-d", "30", "-n", "45", "--limit", "5", "--format", "json"],
+    ["enumerate", "-d", "60", "-n", "90"],
+    ["enumerate", "-d", "1200", "-n", "2399"],
+    ["enumerate", "-d", "1000", "-n", "1002", "--format", "csv"],
+    ["enumerate", "-d", "15000", "-n", "15002"],
+    ["enumerate", "-d", "1000000", "-n", "1000001"],
+    ["enumerate", "-d", "1000000000", "-n", "1000000002", "--count-only"],
+    ["bijection", "tree", "--depth", "13"],
+    ["bijection", "tree", "--depth", "1000000000", "--format", "json"],
+    ["evolve", "-n", "1", "--steps", "1000000000"],
+    ["evolve", "-n", "1000", "--steps", "1000", "--format", "json"],
+    ["poset", "--ladder", "100000000"],
+    ["poset", "--composition", "3,999999,2", "--format", "json"],
+    ["bijection", "phi1", "-d", "1000000000", "1,3"],
+    ["bijection", "phi2", "-d", "1000000000", "1,3", "--format", "json"],
+]
+
+# Counts with more than 4,300 decimal digits: the Catalan number at d = 8000
+# and the size-(d+2) closed form at d = 100000.
+LARGE_COUNTS = [
+    ["enumerate", "-d", "8000", "-n", "16000", "--count-only"],
+    ["enumerate", "-d", "8000", "-n", "16000", "--count-only", "--format", "json"],
+    ["enumerate", "-d", "100000", "-n", "100002", "--count-only", "--format", "csv"],
+]
+
+
+def corpus(max_d: int) -> list[list[str]]:
+    out = []
+    for perm in PERMS:
+        out += [["stats", perm, "--format", fmt] for fmt in ("plain", "json", "csv")]
+        out += [["stats", perm, "--grid"], ["scenario", perm], ["scenario", perm, "--format", "json"]]
+        out += [["check", perm, "-d", str(d), "--format", fmt] for d in (1, 2, 3) for fmt in ("plain", "json")]
+    for arg in ("UUDD", "UDUD", "UDDU", "2 1 4 3", "4 3 2 1"):
+        out += [["bijection", "dyck", arg, "--format", fmt] for fmt in ("plain", "json")]
+    for n, steps, seed in ((8, 3, 0), (12, 5, 7), (0, 2, 1), (-1, 2, 1), (3, -1, 1)):
+        out += [["evolve", "-n", str(n), "--steps", str(steps), "--seed", str(seed), "--format", fmt] for fmt in ("plain", "json")]
+    for shape in (["--ladder", "4"], ["--composition", "3,3,1,7,2"], ["--composition", "2,0"], ["--ladder", "3", "--composition", "1"], []):
+        out += [["poset", *shape, "--format", fmt] for fmt in ("plain", "json")]
+    for d in range(0, max_d + 1):
+        for size in [None, *range(0, 2 * d + 3)]:
+            for fmt in ("plain", "json", "csv", "bfile"):
+                for extra in ((), ("--limit", "3"), ("--count-only",)):
+                    sized = [] if size is None else ["-n", str(size)]
+                    out.append(["enumerate", "-d", str(d), *sized, "--format", fmt, *extra])
+    out.append(["enumerate", "-d", "3", "-n", "5", "--limit", "0"])
+    for depth in range(0, min(max_d, 8) + 1):
+        out += [["bijection", "tree", "--depth", str(depth), "--format", fmt] for fmt in ("plain", "json")]
+    for d in range(1, min(max_d, 6) + 1):
+        for subset in non_interval_subsets(d):
+            text = ",".join(map(str, sorted(subset.elements)))
+            for name, perm in (("phi1", phi1(subset)), ("phi2", phi2(subset)[0])):
+                for fmt in ("plain", "json"):
+                    out.append(["bijection", name, "-d", str(d), text, "--format", fmt])
+                    out.append(["bijection", name, "--invert", str(perm), "--format", fmt])
+    for name in ("phi1", "phi2"):
+        out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
+    return out + REFUSALS + LARGE_COUNTS
+
+
+def run(argv: list[str]) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    answer = f"{code}\n{out.getvalue()}".encode()
+    return {
+        "argv": argv,
+        "out": hashlib.sha256(answer).hexdigest(),
+        "err": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--max-d", type=int, default=9, help="largest d of the enumerate requests")
+    parser.add_argument("--against", default=None, help="digests to compare with, from an earlier run")
+    args = parser.parse_args()
+    digests = [run(argv) for argv in corpus(args.max_d)]
+    if args.against is None:
+        json.dump(digests, sys.stdout, indent=0)
+        print()
+        return 0
+    with open(args.against) as f:
+        before = {tuple(entry["argv"]): entry for entry in json.load(f)}
+    differ = 0
+    for entry in digests:
+        old = before.get(tuple(entry["argv"]))
+        parts = ["missing"] if old is None else [part for part in ("out", "err") if old[part] != entry[part]]
+        if parts:
+            differ += 1
+            print(f"{'+'.join(parts)}: {' '.join(entry['argv'])}")
+    print(f"{differ} of {len(digests)} argv differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

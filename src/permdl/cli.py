@@ -4,13 +4,18 @@ Every command is deterministic for fixed arguments (including --seed), and
 identical invocations print byte-identical output.  Slice listings come from
 the labellings of the shape posets, the one production enumeration route,
 and are rendered from the digits of those packed words: the library built
-them, so they are not checked again on the way out.  A listing or a
-generating tree with more than MAX_LISTED members is refused before
-anything is built; counts stay available through --count-only.  So are an
-evolve walk, a poset, a phi member and a slice member too large to hold,
-the last with or without --count-only.  Exit codes: 0 for success or a true
-predicate, 1 for a false predicate (``check`` on a non-minimal permutation),
-2 for usage or parse errors and refused requests.
+them, so they are not checked again on the way out.
+
+One cap rule bounds every request: an answer is built whole in memory before
+it is printed, so one with more than MAX_LISTED parts is refused before
+anything is built, with one line from ``_refuse_over``.  The parts are the
+members of a listing, the nodes of a tree, the values of an evolve walk, a
+poset or a phi member, and the values of the largest member a count or a
+table answers for.  Counts of listings over the cap stay available through
+--count-only, and are printed in full however many digits they have.
+Exit codes: 0 for success or a true predicate, 1 for a false predicate
+(``check`` on a non-minimal permutation), 2 for usage or parse errors and
+refused requests.
 """
 
 from __future__ import annotations
@@ -47,32 +52,35 @@ from .duploss import (
 from .minimal import count_basis, count_table, is_minimal
 from .perm import _integers, descents, maximal_runs, parse_permutation
 from .posets import (
+    _CHUNK_LINES,
     DescentComposition,
-    _digits,
-    _packed_labellings,
+    _slice_words,
     _unpack,
+    _word_chunks,
     build_poset,
-    compositions,
     ladder,
     poset_edges,
 )
 
 
 # The most members a listing, or nodes a tree, may hold, and the most values
-# an evolve walk, a poset, a phi member or a slice member may hold: a larger
-# answer is refused up front, since it is built whole in memory before it is
-# printed.
+# an evolve walk, a poset, a phi member or the largest member a count or a
+# table answers for may hold: a larger answer is refused up front, since it
+# is built whole in memory before it is printed.
 MAX_LISTED = 10**6
 
-# Lines per write in listings and trees, so that a long one is never held
-# as text all at once.
-_CHUNK_LINES = 1 << 14
+
+def _refuse_over(amount: int, what: str, holder: str = "a request", hint: str = "") -> None:
+    # The one cap rule: a request whose answer holds amount parts, described
+    # by what, is refused in one line once amount passes MAX_LISTED.
+    if amount > MAX_LISTED:
+        raise ValueError(f"{what}, more than the {MAX_LISTED} {holder} may hold{hint}")
 
 
 def _word_renderer(n: int) -> Callable[[Iterable[int]], str]:
     # Renders words over 1..n through one table of value names, so a value
-    # shared by many words (listing members, scenario states) is turned into
-    # text once.
+    # shared by many words (the states of a scenario) is turned into text
+    # once.
     names = [str(v) for v in range(n + 1)]
     return lambda word: " ".join(map(names.__getitem__, word))
 
@@ -94,38 +102,9 @@ def _compositions_exceed(d: int, n: int, cap: int) -> bool:
     return c > cap
 
 
-def _check_member_size(d: int, n: int) -> None:
-    # The closed forms of count_basis and the posets of a listing take
-    # memory in proportion to n, so past the cap neither is made.  An empty
-    # slice, n outside d+1..2d, has no members and passes.
-    if d < n <= 2 * d and n > MAX_LISTED:
-        raise ValueError(f"a d={d} member of size {n} is more than the {MAX_LISTED} values a request may hold")
-
-
 def _emit(lines: Iterable[str]) -> None:
     for line in lines:
         print(line)
-
-
-def _emit_words(words: list[int], n: int) -> None:
-    # Packed words over 1..n, one line each, _CHUNK_LINES words per write.
-    # Digit 0 of every word is named as the line break, so a chunk renders
-    # with one join: "3 1 4 2 \n 2 1 4 3 \n" loses its inner " \n " to
-    # "\n" and its final " \n" to the trailing line break.
-    names = ["\n", *map(str, range(1, n + 1))] if words else []
-    for start in range(0, len(words), _CHUNK_LINES):
-        digits = _digits(words[start : start + _CHUNK_LINES], n)
-        text = " ".join(map(names.__getitem__, digits)).replace(" \n ", "\n")
-        sys.stdout.write(text[:-2] + "\n")
-
-
-def _emit_listing(lines: Iterable[str]) -> None:
-    # Listings and trees have many short lines: a few large writes cost less
-    # than a print per line.  Other output keeps _emit, whose lines can be
-    # megabytes long (a scenario at n = 10^5), where joining would copy them.
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-        sys.stdout.write("\n".join(chunk) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -214,45 +193,54 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if d < 1:
         raise ValueError("d must be at least 1")
     n = args.size
-    if n is None or args.count_only:
-        # --count-only is the table of one size.
-        if n is not None:
-            _check_member_size(d, n)
-        counts = count_table(d) if n is None else {n: count_basis(d, n)}
+    listing = n is not None and not args.count_only
+    if listing:
         if args.format == "bfile":
-            _emit(f"{size} {c}" for size, c in counts.items())
-        elif args.format == "csv":
-            _emit(["n,count"] + [f"{size},{c}" for size, c in counts.items()])
-        elif args.format == "json" and n is None:
-            table = {str(size): c for size, c in counts.items()}
-            print(json.dumps({"d": d, "counts": table, "total": sum(counts.values())}))
-        elif args.format == "json":
-            print(json.dumps({"d": d, "n": n, "count": counts[n]}))
-        elif n is None:
-            print(f"# d={d} sizes {d + 1}..{2 * d}")
-            _emit(f"{size} {c}" for size, c in counts.items())
-            print(f"total {sum(counts.values())}")
-        else:
-            print(counts[n])
+            raise ValueError("format 'bfile' does not apply here (use plain/json/csv)")
+        # The whole slice is built before --limit truncates it, so the cap
+        # holds with or without --limit.  A bound refuses most slices over
+        # the cap before they are counted.
+        if _compositions_exceed(d, n, MAX_LISTED):
+            raise ValueError(
+                f"the d={d} n={n} slice has more than the {MAX_LISTED} members a listing may hold "
+                "(at least one per descent composition); use --count-only"
+            )
+        count = count_basis(d, n)
+        _refuse_over(count, f"the d={d} n={n} slice has {count} members", "a listing", "; use --count-only")
+    # The closed forms of count_basis, the rank scan of a table and the
+    # posets of a listing take memory in proportion to the largest member
+    # answered for: size n, or 2d for a whole table.  An empty slice, n
+    # outside d+1..2d, has no members and passes.
+    largest = 2 * d if n is None else n if d < n <= 2 * d else 0
+    _refuse_over(largest, f"a d={d} member has {largest} values")
+    if not listing:
+        # --count-only is the table of one size.
+        counts = count_table(d) if n is None else {n: count_basis(d, n)}
+        # Counts are printed in full, past the interpreter's limit on the
+        # digits of an int turned into text; the limit holds again
+        # afterwards, and for everything else, the parsing of input included.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            if args.format == "bfile":
+                _emit(f"{size} {c}" for size, c in counts.items())
+            elif args.format == "csv":
+                _emit(["n,count"] + [f"{size},{c}" for size, c in counts.items()])
+            elif args.format == "json" and n is None:
+                table = {str(size): c for size, c in counts.items()}
+                print(json.dumps({"d": d, "counts": table, "total": sum(counts.values())}))
+            elif args.format == "json":
+                print(json.dumps({"d": d, "n": n, "count": counts[n]}))
+            elif n is None:
+                print(f"# d={d} sizes {d + 1}..{2 * d}")
+                _emit(f"{size} {c}" for size, c in counts.items())
+                print(f"total {sum(counts.values())}")
+            else:
+                print(counts[n])
+        finally:
+            sys.set_int_max_str_digits(limit)
         return 0
-    if args.format == "bfile":
-        raise ValueError("format 'bfile' does not apply here (use plain/json/csv)")
-    # The whole slice is built before --limit truncates it, so the cap holds
-    # with or without --limit.  A bound refuses most slices over the cap
-    # before they are counted.
-    if _compositions_exceed(d, n, MAX_LISTED):
-        raise ValueError(
-            f"the d={d} n={n} slice has more than the {MAX_LISTED} members a listing may hold "
-            "(at least one per descent composition); use --count-only"
-        )
-    count = count_basis(d, n)
-    if count > MAX_LISTED:
-        raise ValueError(
-            f"the d={d} n={n} slice has {count} members, more than the {MAX_LISTED} "
-            "a listing may hold; use --count-only"
-        )
-    _check_member_size(d, n)
-    words = _packed_labellings(map(build_poset, compositions(d, n)), n)
+    words = _slice_words(d, n)
     truncated = args.limit is not None and len(words) > args.limit
     shown = words[: args.limit] if truncated else words
     if args.format == "json":
@@ -261,18 +249,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             payload["truncated"] = True
         print(json.dumps(payload))
         return 0
-    trailer = [f"# truncated at {args.limit}"] if truncated else []
     if args.format == "csv":
-        # The table of value names is sized from the members, never from
-        # the requested n alone: an empty slice (any n outside d+1..2d)
-        # needs none.
-        render = _word_renderer(n if words else 0)
-        rows = (f"{i},{render(w)}" for i, w in enumerate(_unpack(shown, n), start=1))
-        _emit_listing(itertools.chain(["index,permutation"], rows, trailer))
+        # The rows are the plain lines, each after its index.  zip draws a
+        # line first, so no index is lost at the end of a chunk.
+        print("index,permutation")
+        index = itertools.count(1)
+        for chunk in _word_chunks(shown, n):
+            sys.stdout.write("".join(f"{i},{line}\n" for line, i in zip(chunk.splitlines(), index)))
     else:
         print(f"# d={d} n={n} count={len(words)}")
-        _emit_words(shown, n)
-        _emit(trailer)
+        sys.stdout.writelines(_word_chunks(shown, n))
+    if truncated:
+        print(f"# truncated at {args.limit}")
     return 0
 
 
@@ -305,11 +293,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 def cmd_evolve(args: argparse.Namespace) -> int:
     n = args.size
     # The scenario holds up to n kept values per step and its n-value end.
-    if n >= 1 and n * (args.steps + 1) > MAX_LISTED:
-        raise ValueError(
-            f"a walk with n={n} and steps={args.steps} holds up to {n * (args.steps + 1)} values, "
-            f"more than the {MAX_LISTED} a request may hold"
-        )
+    values = max(n, 0) * (args.steps + 1)
+    _refuse_over(values, f"a walk with n={n} and steps={args.steps} holds up to {values} values")
     scenario = random_evolution(n, args.steps, args.seed)
     if args.format == "json":
         print(json.dumps(scenario_to_json(scenario)))
@@ -344,69 +329,40 @@ def _resolve_subset(args: argparse.Namespace) -> NonIntervalSubset:
     if not values:
         raise ValueError("empty subset")
     subset = NonIntervalSubset(args.descents, frozenset(values))
-    if subset.d + 2 > MAX_LISTED:
-        raise ValueError(
-            f"a d={subset.d} member has {subset.d + 2} values, "
-            f"more than the {MAX_LISTED} a request may hold"
-        )
+    _refuse_over(subset.d + 2, f"a d={subset.d} member has {subset.d + 2} values")
     return subset
 
 
-def cmd_bijection_phi1(args: argparse.Namespace) -> int:
+def cmd_bijection_phi(args: argparse.Namespace) -> int:
+    # phi1 and phi2 map the same subsets to size-(d+2) members; phi2 also
+    # reports the S2 classification of its member, which its forward map
+    # makes anyway.
+    phi2_named = args.bijection == "phi2"
     if args.invert:
         perm = parse_permutation(args.arg)
-        subset = phi1_inverse(perm)
+        subset = (phi2_inverse if phi2_named else phi1_inverse)(perm)
+        cls = classify_s2(perm) if phi2_named else None
     else:
         subset = _resolve_subset(args)
-        perm = phi1(subset)
+        perm, cls = phi2(subset) if phi2_named else (phi1(subset), None)
+    payload = {"d": subset.d, "subset": sorted(subset.elements), "permutation": list(perm.values)}
+    if cls is not None:
+        payload["type"] = cls.type_tag
+        payload["diamond"] = {
+            "ascent_position": cls.ascent_position,
+            "left": cls.left,
+            "bottom": cls.bottom,
+            "top": cls.top,
+            "right": cls.right,
+        }
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "d": subset.d,
-                    "subset": sorted(subset.elements),
-                    "permutation": list(perm.values),
-                }
-            )
-        )
+        print(json.dumps(payload))
     elif args.invert:
-        print(",".join(str(v) for v in sorted(subset.elements)))
+        print(",".join(map(str, payload["subset"])))
     else:
         print(perm)
-    return 0
-
-
-def cmd_bijection_phi2(args: argparse.Namespace) -> int:
-    if args.invert:
-        perm = parse_permutation(args.arg)
-        subset = phi2_inverse(perm)
-        cls = classify_s2(perm)
-    else:
-        subset = _resolve_subset(args)
-        perm, cls = phi2(subset)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "d": subset.d,
-                    "subset": sorted(subset.elements),
-                    "permutation": list(perm.values),
-                    "type": cls.type_tag,
-                    "diamond": {
-                        "ascent_position": cls.ascent_position,
-                        "left": cls.left,
-                        "bottom": cls.bottom,
-                        "top": cls.top,
-                        "right": cls.right,
-                    },
-                }
-            )
-        )
-    elif args.invert:
-        print(",".join(str(v) for v in sorted(subset.elements)))
-    else:
-        print(perm)
-        print(f"type: {cls.type_tag}")
+        if cls is not None:
+            print(f"type: {cls.type_tag}")
     return 0
 
 
@@ -440,7 +396,10 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
             for kid in eco_children(node):
                 yield from walk(kid, level + 1)
 
-    _emit_listing(walk(eco_root(), 1))
+    # Many short lines: a few large writes cost less than a print per line.
+    lines = walk(eco_root(), 1)
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        sys.stdout.write("\n".join(chunk) + "\n")
     print(f"level sizes: {' '.join(str(s) for s in sizes)}")
     return 0
 
@@ -453,8 +412,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
     else:
         composition = DescentComposition(tuple(_integers(args.composition)))
         size = composition.n
-    if size > MAX_LISTED:
-        raise ValueError(f"a poset of {size} nodes is more than the {MAX_LISTED} a request may hold")
+    _refuse_over(size, f"a poset has {size} nodes")
     poset = ladder(args.ladder) if composition is None else build_poset(composition)
     if args.format == "json":
         print(json.dumps({"size": poset.size, "covers": sorted(list(c) for c in poset.covers)}))
@@ -508,8 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     b_dyck = leaf(bij_sub, "dyck", cmd_bijection_dyck, "Dyck path <-> size-2d member")
     b_dyck.add_argument("arg", help="a U/D word, or a permutation to map back")
 
-    for name, func in (("phi1", cmd_bijection_phi1), ("phi2", cmd_bijection_phi2)):
-        b = leaf(bij_sub, name, func, f"{name}: subset <-> size-(d+2) member")
+    for name in ("phi1", "phi2"):
+        b = leaf(bij_sub, name, cmd_bijection_phi, f"{name}: subset <-> size-(d+2) member")
         b.add_argument("arg", help="subset '1,2,5' (or a permutation with --invert)")
         b.add_argument("-d", "--descents", type=int, default=None)
         b.add_argument("--invert", action="store_true")

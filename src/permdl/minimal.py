@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .perm import Permutation, descent_count
-from .posets import DiamondPoset, _packed_labellings, _unpack, build_poset, compositions, count_labellings
+from .posets import DiamondPoset, _slice_words, _unpack, build_poset, compositions, count_labellings
 
 __all__ = [
     "BasisSlice",
@@ -167,7 +167,7 @@ def enumerate_basis(d: int, n: int) -> BasisSlice:
     construction, so they are wrapped without running the checks of
     ``Permutation`` again.
     """
-    words = _packed_labellings(map(build_poset, compositions(d, n)), n)
+    words = _slice_words(d, n)
     return BasisSlice(d, n, tuple(map(Permutation._trusted, _unpack(words, n))))
 
 

@@ -17,6 +17,11 @@ nodes, one per layer, and carries per remaining down-set either a count
 integers (``authorized_labellings`` and the slice listings), which one
 integer add per word extends by a node.
 
+This module owns that packed format: the digit width, the byte order, digit
+0 as the line break of a rendered listing, and the text chunks a listing is
+written in.  Callers get sorted words from ``_slice_words``, tuples from
+``_unpack`` and text from ``_word_chunks``.
+
 Covers are stored as (lower, upper) pairs of positions: the value at
 ``lower`` must be smaller than the value at ``upper``.
 """
@@ -224,6 +229,12 @@ def _packed_labellings(posets: Iterable[DiamondPoset], n: int) -> list[int]:
     return words
 
 
+def _slice_words(d: int, n: int) -> list[int]:
+    # The size-n slice of minimal permutations with d descents as sorted
+    # packed words: the labellings of the shape posets of its compositions.
+    return _packed_labellings(map(build_poset, compositions(d, n)), n)
+
+
 def _digits(words: list[int], n: int) -> array:
     # Every digit of the packed words over 1..n, most significant first:
     # each word gives its values in position order, then its digit 0.
@@ -243,6 +254,23 @@ def _unpack(words: list[int], n: int) -> Iterator[tuple[int, ...]]:
     digits = _digits(words, n)
     del digits[n :: n + 1]
     return zip(*[iter(digits)] * n)
+
+
+# Words per text chunk of a rendered listing, so that a long one is never
+# held as text all at once.
+_CHUNK_LINES = 1 << 14
+
+
+def _word_chunks(words: list[int], n: int) -> Iterator[str]:
+    # The packed words over 1..n as text, one line each, _CHUNK_LINES words
+    # per chunk.  Digit 0 of every word is named as the line break, so a
+    # chunk renders with one join: "3 1 4 2 \n 2 1 4 3 \n" loses its inner
+    # " \n " to "\n" and its final " \n" to the trailing line break.
+    names = ["\n", *map(str, range(1, n + 1))] if words else []
+    for start in range(0, len(words), _CHUNK_LINES):
+        digits = _digits(words[start : start + _CHUNK_LINES], n)
+        text = " ".join(map(names.__getitem__, digits)).replace(" \n ", "\n")
+        yield text[:-2] + "\n"
 
 
 def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:

@@ -10,7 +10,20 @@ from pathlib import Path
 import pytest
 
 import permdl
-from permdl import cli, count_basis, enumerate_basis, generating_tree, random_evolution, scenario_to_json, slice_to_text
+from permdl import (
+    cli,
+    classify_s2,
+    count_basis,
+    enumerate_basis,
+    generating_tree,
+    non_interval_subsets,
+    phi1,
+    phi2,
+    posets,
+    random_evolution,
+    scenario_to_json,
+    slice_to_text,
+)
 from permdl.cli import main
 
 from helpers import packed_word, replay_rendered_scenario
@@ -181,6 +194,37 @@ class TestEnumerate:
             assert code == 0
             assert out == f"{want}\n"
 
+    def test_counts_past_the_digit_limit_print_in_full(self, capsys, monkeypatch):
+        # The Catalan number C_8000 has 4,811 digits, past the interpreter's
+        # default limit of 4,300 on int-to-text conversion; the size-(d+2)
+        # count at d = 100000 has 30,104.  The limit is lifted only while
+        # the counts are printed.
+        limit = sys.get_int_max_str_digits()
+        for d, n, want in (
+            (8000, 16000, comb(16000, 8000) // 8001),
+            (100000, 100002, 2**100002 - 100001 * 100002 - 2),
+        ):
+            plain = run(capsys, "enumerate", "-d", str(d), "-n", str(n), "--count-only")
+            as_json = run(capsys, "enumerate", "-d", str(d), "-n", str(n), "--count-only", "--format", "json")
+            assert sys.get_int_max_str_digits() == limit
+            sys.set_int_max_str_digits(0)
+            try:
+                assert plain == (0, f"{want}\n", "")
+                assert as_json == (0, json.dumps({"d": d, "n": n, "count": want}) + "\n", "")
+            finally:
+                sys.set_int_max_str_digits(limit)
+        assert len(plain[1]) > limit
+        # Refused before the counts, and while they are printed.
+        assert run(capsys, "enumerate", "-d", "1000000000", "-n", "1000000002", "--count-only")[0] == 2
+        assert sys.get_int_max_str_digits() == limit
+
+        def broken(lines):
+            raise ValueError("output failed")
+
+        monkeypatch.setattr(cli, "_emit", broken)
+        assert run(capsys, "enumerate", "-d", "3", "--format", "bfile") == (2, "", "error: output failed\n")
+        assert sys.get_int_max_str_digits() == limit
+
     def test_large_table_from_one_scan(self, capsys):
         # One scan over lengths 2..80 gives all 40 sizes.
         start = time.perf_counter()
@@ -263,12 +307,12 @@ class TestListingRoute:
             for fmt, out in want.items():
                 assert run(capsys, "enumerate", "-d", str(d), "-n", str(d + 1), "--format", fmt) == (0, out, "")
 
-    def test_wide_digits_render_like_words(self, capsys):
+    def test_wide_digits_render_like_words(self):
         # Two- and four-byte digits, which only the one-member slices reach.
         for n in (256, 65536):
             words = sorted([tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))])
-            cli._emit_words([packed_word(w, n) for w in words], n)
-            assert capsys.readouterr().out == "".join(" ".join(map(str, w)) + "\n" for w in words)
+            text = "".join(posets._word_chunks([packed_word(w, n) for w in words], n))
+            assert text == "".join(" ".join(map(str, w)) + "\n" for w in words)
 
     def test_chunked_writes_change_no_byte(self, capsys, monkeypatch):
         cases = [
@@ -279,7 +323,7 @@ class TestListingRoute:
             for limit in ((), ("--limit", "3"), ("--limit", "7"))
         ]
         whole = [run(capsys, *argv) for argv in cases]
-        monkeypatch.setattr(cli, "_CHUNK_LINES", 7)
+        monkeypatch.setattr(posets, "_CHUNK_LINES", 7)
         assert [run(capsys, *argv) for argv in cases] == whole
 
     def test_empty_slice_of_huge_size_answers_at_once(self, capsys):
@@ -348,13 +392,17 @@ class TestRefusals:
             ["bijection", "phi2", "-d", "1000000000", "1,3", "--format", "json"],
             ["enumerate", "-d", "1000000", "-n", "1000001"],
             ["enumerate", "-d", "1000000000", "-n", "1000000002", "--count-only"],
+            # A whole table answers for members of size up to 2d.
+            ["enumerate", "-d", "100000000"],
+            ["enumerate", "-d", "100000000", "--format", "json"],
         ):
             assert "a request may hold" in self.refused(capsys, *argv)
 
     def test_cap_is_inclusive(self, capsys, monkeypatch):
         # (3, 5) has 10 members; a tree of depth 3 has 1 + 2 + 5 nodes; a
         # 3-step walk on 2 values holds up to 8 values, the 4-step ladder and
-        # the (2, 4) poset have 8 nodes, and a d=6 member has 8 values.
+        # the (2, 4) poset have 8 nodes, a d=6 member has 8 values, and so
+        # has the largest member of the d=4 table.
         monkeypatch.setattr(cli, "MAX_LISTED", 10)
         assert run(capsys, "enumerate", "-d", "3", "-n", "5")[0] == 0
         monkeypatch.setattr(cli, "MAX_LISTED", 9)
@@ -366,6 +414,7 @@ class TestRefusals:
             ["poset", "--composition", "2,4"],
             ["bijection", "phi1", "-d", "6", "1,3"],
             ["bijection", "phi2", "-d", "6", "1,3"],
+            ["enumerate", "-d", "4"],
         )
         monkeypatch.setattr(cli, "MAX_LISTED", 8)
         for argv in at_eight:
@@ -507,6 +556,32 @@ class TestBijectionCommands:
         assert data["type"] == "D"
         assert data["subset"] == [1, 2, 5]
         assert set(data["diamond"]) == {"ascent_position", "left", "bottom", "top", "right"}
+
+    def test_phi_round_trips_through_the_cli(self, capsys):
+        # Every non-interval subset with d <= 6, forward and then inverted,
+        # in plain and json; phi2 adds its member's S2 classification.
+        for d in range(1, 7):
+            for subset in non_interval_subsets(d):
+                text = ",".join(map(str, sorted(subset.elements)))
+                for name, perm in (("phi1", phi1(subset)), ("phi2", phi2(subset)[0])):
+                    extra = {}
+                    if name == "phi2":
+                        cls = classify_s2(perm)
+                        extra = {"type": cls.type_tag, "diamond": {
+                            "ascent_position": cls.ascent_position,
+                            "left": cls.left,
+                            "bottom": cls.bottom,
+                            "top": cls.top,
+                            "right": cls.right,
+                        }}
+                    plain = f"{perm}\n" + (f"type: {cls.type_tag}\n" if extra else "")
+                    assert run(capsys, "bijection", name, "-d", str(d), text) == (0, plain, "")
+                    assert run(capsys, "bijection", name, "--invert", str(perm)) == (0, f"{text}\n", "")
+                    want = {"d": d, "subset": sorted(subset.elements), "permutation": list(perm.values), **extra}
+                    for argv in (["-d", str(d), text], ["--invert", str(perm)]):
+                        code, out, err = run(capsys, "bijection", name, *argv, "--format", "json")
+                        assert (code, err) == (0, "")
+                        assert list(json.loads(out).items()) == list(want.items())
 
     def test_interval_subset_rejected(self, capsys):
         code, _, err = run(capsys, "bijection", "phi1", "-d", "3", "2,3")

@@ -2,9 +2,12 @@
 
 Each script runs in its own interpreter with ``src`` on ``PYTHONPATH``, as a
 user would run it from a checkout, and must exit 0 with one line per trial or
-table row.  ``regen_goldens.py`` is left out: it rewrites ``tests/golden``.
+table row.  ``cli_digest.py`` digests a small corpus and compares it with
+its own digests.  ``regen_goldens.py`` is left out: it rewrites
+``tests/golden``.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -32,3 +35,23 @@ def test_script_runs(script, args, lines):
     )
     assert out.returncode == 0, out.stderr
     assert len(out.stdout.splitlines()) == lines
+
+
+def test_cli_digest_compares_runs(tmp_path):
+    # A small corpus digested twice agrees with itself; a changed digest is
+    # reported with its argv and exit code 1.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = [sys.executable, str(ROOT / "scripts" / "cli_digest.py"), "--max-d", "3"]
+    first = subprocess.run(script, env=env, capture_output=True, text=True, timeout=60)
+    assert first.returncode == 0, first.stderr
+    digests = json.loads(first.stdout)
+    assert {"argv", "out", "err"} == set(digests[0])
+    saved = tmp_path / "digests.json"
+    saved.write_text(first.stdout)
+    again = subprocess.run([*script, "--against", str(saved)], env=env, capture_output=True, text=True, timeout=60)
+    assert (again.returncode, again.stdout) == (0, f"0 of {len(digests)} argv differ\n")
+    digests[0]["err"] = "0" * 64
+    saved.write_text(json.dumps(digests))
+    changed = subprocess.run([*script, "--against", str(saved)], env=env, capture_output=True, text=True, timeout=60)
+    assert changed.returncode == 1
+    assert changed.stdout.splitlines() == [f"err: {' '.join(digests[0]['argv'])}", f"1 of {len(digests)} argv differ"]
