@@ -153,8 +153,10 @@ def eco_children(node: EcoNode) -> list[EcoNode]:
     two_d = len(v)
     kids = []
     for i in range(two_d + 1, two_d + 1 - node.label, -1):
-        shifted = tuple(x + 1 if x >= i else x for x in v)
-        kids.append(EcoNode._trusted(Permutation._trusted(shifted + (two_d + 2, i))))
+        # bump[x] is x shifted past the new value i.
+        bump = [*range(i), *range(i + 1, two_d + 2)]
+        word = (*map(bump.__getitem__, v), two_d + 2, i)
+        kids.append(EcoNode._trusted(Permutation._trusted(word)))
     return kids
 
 

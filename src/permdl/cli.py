@@ -102,6 +102,17 @@ def _compositions_exceed(d: int, n: int, cap: int) -> bool:
     return c > cap
 
 
+def _members(count: int) -> str:
+    # A count of members as text, or, past the interpreter's limit on the
+    # digits of an int turned into text, as the power of ten it passes:
+    # 10^k <= 2^(bits-1) <= count for k = floor((bits-1) * 0.30102999),
+    # since 0.30102999 < log10(2).
+    try:
+        return f"{count} members"
+    except ValueError:
+        return f"more than 10^{int((count.bit_length() - 1) * 0.30102999)} members"
+
+
 def _emit(lines: Iterable[str]) -> None:
     for line in lines:
         print(line)
@@ -206,7 +217,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
                 "(at least one per descent composition); use --count-only"
             )
         count = count_basis(d, n)
-        _refuse_over(count, f"the d={d} n={n} slice has {count} members", "a listing", "; use --count-only")
+        _refuse_over(count, f"the d={d} n={n} slice has {_members(count)}", "a listing", "; use --count-only")
     # The closed forms of count_basis, the rank scan of a table and the
     # posets of a listing take memory in proportion to the largest member
     # answered for: size n, or 2d for a whole table.  An empty slice, n
@@ -390,14 +401,21 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
         print(json.dumps({"depth": args.depth, "root": _tree_json(eco_root(), args.depth)}))
         return 0
 
-    def walk(node: EcoNode, level: int) -> Iterator[str]:
-        yield f"{'  ' * (level - 1)}{node.perm}"
-        if level < args.depth:
-            for kid in eco_children(node):
-                yield from walk(kid, level + 1)
+    # Depth first, children in order, from a stack of (node, indent); the
+    # values of the nodes, at most 2 * depth, are named from one table.
+    names = [str(v) for v in range(2 * args.depth + 1)]
+    deepest = "  " * (args.depth - 1)
+
+    def walk() -> Iterator[str]:
+        stack = [(eco_root(), "")]
+        while stack:
+            node, indent = stack.pop()
+            yield indent + " ".join(map(names.__getitem__, node.perm.values))
+            if indent != deepest:
+                stack += [(kid, indent + "  ") for kid in reversed(eco_children(node))]
 
     # Many short lines: a few large writes cost less than a print per line.
-    lines = walk(eco_root(), 1)
+    lines = walk()
     while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
         sys.stdout.write("\n".join(chunk) + "\n")
     print(f"level sizes: {' '.join(str(s) for s in sizes)}")

@@ -20,7 +20,12 @@ integer add per word extends by a node.
 This module owns that packed format: the digit width, the byte order, digit
 0 as the line break of a rendered listing, and the text chunks a listing is
 written in.  Callers get sorted words from ``_slice_words``, tuples from
-``_unpack`` and text from ``_word_chunks``.
+``_unpack`` and text from ``_word_chunks``.  Every word reaches bytes through
+one join of ``int.to_bytes``.  Below n = 256, where digits are one byte,
+text is made with no Python step per word or digit: one ``bytes.translate``
+per character column of the value names, interleaved and stripped of
+padding.  Wider digits, which only slices of a few members reach, keep a
+join over the names of their digits.
 
 Covers are stored as (lower, upper) pairs of positions: the value at
 ``lower`` must be smaller than the value at ``upper``.
@@ -232,15 +237,26 @@ def _packed_labellings(posets: Iterable[DiamondPoset], n: int) -> list[int]:
 def _slice_words(d: int, n: int) -> list[int]:
     # The size-n slice of minimal permutations with d descents as sorted
     # packed words: the labellings of the shape posets of its compositions.
+    # The size-(d+1) slice is the one word n..1, packed directly: its peel
+    # does big-int work in n per layer, quadratic in all.
+    if d >= 1 and n == d + 1:
+        digits = array(_digit_code(n), [*range(n, 0, -1), 0])
+        if digits.itemsize > 1 and sys.byteorder == "little":
+            digits.byteswap()
+        return [int.from_bytes(digits, "big")]
     return _packed_labellings(map(build_poset, compositions(d, n)), n)
+
+
+def _word_bytes(words: list[int], length: int) -> bytes:
+    # The packed words as big-endian bytes, length bytes each, in one join.
+    return b"".join(map(int.to_bytes, words, itertools.repeat(length), itertools.repeat("big")))
 
 
 def _digits(words: list[int], n: int) -> array:
     # Every digit of the packed words over 1..n, most significant first:
     # each word gives its values in position order, then its digit 0.
     digits = array(_digit_code(n))
-    length = (n + 1) * digits.itemsize
-    digits.frombytes(b"".join(w.to_bytes(length, "big") for w in words))
+    digits.frombytes(_word_bytes(words, (n + 1) * digits.itemsize))
     if digits.itemsize > 1 and sys.byteorder == "little":
         digits.byteswap()
     return digits
@@ -263,14 +279,30 @@ _CHUNK_LINES = 1 << 14
 
 def _word_chunks(words: list[int], n: int) -> Iterator[str]:
     # The packed words over 1..n as text, one line each, _CHUNK_LINES words
-    # per chunk.  Digit 0 of every word is named as the line break, so a
-    # chunk renders with one join: "3 1 4 2 \n 2 1 4 3 \n" loses its inner
-    # " \n " to "\n" and its final " \n" to the trailing line break.
-    names = ["\n", *map(str, range(1, n + 1))] if words else []
+    # per chunk.  Value v is named "v " and digit 0, the end of every word,
+    # "\n", so "3 1 4 2 \n" needs only its " \n" turned into "\n".
+    if not words:
+        return
+    names = ["\n", *(f"{v} " for v in range(1, n + 1))]
+    if n >= 1 << 8:
+        # Two- and four-byte digits, which only slices of a few members
+        # reach: the names are joined digit by digit.
+        for start in range(0, len(words), _CHUNK_LINES):
+            digits = _digits(words[start : start + _CHUNK_LINES], n)
+            yield "".join(map(names.__getitem__, digits)).replace(" \n", "\n")
+        return
+    # One-byte digits: character c of every name, NUL past its end, is one
+    # bytes.translate of the digits, written into every width-th byte of
+    # the text; deleting the NULs closes the gaps.
+    width = len(names[-1])
+    padded = [name.ljust(width, "\0") for name in names]
+    tables = ["".join(column).encode("ascii").ljust(256, b"\0") for column in zip(*padded)]
     for start in range(0, len(words), _CHUNK_LINES):
-        digits = _digits(words[start : start + _CHUNK_LINES], n)
-        text = " ".join(map(names.__getitem__, digits)).replace(" \n ", "\n")
-        yield text[:-2] + "\n"
+        raw = _word_bytes(words[start : start + _CHUNK_LINES], n + 1)
+        text = bytearray(len(raw) * width)
+        for c, table in enumerate(tables):
+            text[c::width] = raw.translate(table)
+        yield text.translate(None, b"\0").replace(b" \n", b"\n").decode("ascii")
 
 
 def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:

@@ -124,6 +124,19 @@ class TestEcoTree:
                 for kid in kids:
                     assert is_minimal(kid.perm, kid.perm.n // 2).is_minimal
 
+    def test_children_shift_values_past_the_new_one(self):
+        # The rule spelled out: values >= i move up by one, then 2d+2 and i
+        # close the new step, for i from 2d+1 down to 2d+2-label.
+        for level in generating_tree(8):
+            for node in level:
+                v = node.perm.values
+                two_d = len(v)
+                want = [
+                    tuple(x + 1 if x >= i else x for x in v) + (two_d + 2, i)
+                    for i in range(two_d + 1, two_d + 1 - node.label, -1)
+                ]
+                assert [kid.perm.values for kid in eco_children(node)] == want
+
     def test_label_multisets_match_rule_expansion(self):
         levels = generating_tree(6)
         by_walk = [sorted(n.label for n in level) for level in levels]

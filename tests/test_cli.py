@@ -307,10 +307,34 @@ class TestListingRoute:
             for fmt, out in want.items():
                 assert run(capsys, "enumerate", "-d", str(d), "-n", str(d + 1), "--format", fmt) == (0, out, "")
 
+    def test_one_member_listing_is_the_reversed_identity(self, capsys):
+        # Built as one word, not peeled: the peel's big-int work grows with n
+        # in every one of its n layers.
+        d = 20000
+        word = list(range(d + 1, 0, -1))
+        text = " ".join(map(str, word))
+        want = {
+            "plain": f"# d={d} n={d + 1} count=1\n{text}\n",
+            "json": json.dumps({"d": d, "n": d + 1, "count": 1, "members": [word]}) + "\n",
+            "csv": f"index,permutation\n1,{text}\n",
+        }
+        for fmt, out in want.items():
+            start = time.perf_counter()
+            assert run(capsys, "enumerate", "-d", str(d), "-n", str(d + 1), "--format", fmt) == (0, out, "")
+            assert time.perf_counter() - start < 1.0
+
     def test_wide_digits_render_like_words(self):
         # Two- and four-byte digits, which only the one-member slices reach.
         for n in (256, 65536):
             words = sorted([tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))])
+            text = "".join(posets._word_chunks([packed_word(w, n) for w in words], n))
+            assert text == "".join(" ".join(map(str, w)) + "\n" for w in words)
+
+    def test_one_byte_digits_render_at_every_name_width(self):
+        # Names of one to three digits, up to the largest one-byte n.
+        for n in (1, 9, 10, 99, 100, 254, 255):
+            rng = random.Random(n)
+            words = sorted({tuple(rng.sample(range(1, n + 1), n)) for _ in range(40)})
             text = "".join(posets._word_chunks([packed_word(w, n) for w in words], n))
             assert text == "".join(" ".join(map(str, w)) + "\n" for w in words)
 
@@ -438,6 +462,17 @@ class TestRefusals:
         monkeypatch.setattr(cli, "MAX_LISTED", 3)
         err = self.refused(capsys, "enumerate", "-d", "5", "-n", "7")
         assert "(at least one per descent composition); use --count-only" in err
+
+    def test_count_past_the_digit_limit_refused_by_its_size(self, capsys):
+        # The count, about 1.1 * 10^4516, has more digits than the 4,300 the
+        # interpreter turns into text: the refusal gives a power of ten the
+        # count passes instead.
+        for fmt in ("plain", "json"):
+            err = self.refused(capsys, "enumerate", "-d", "15000", "-n", "15002", "--format", fmt)
+            assert err == (
+                "error: the d=15000 n=15002 slice has more than 10^4515 members, "
+                "more than the 1000000 a listing may hold; use --count-only\n"
+            )
 
 
 class TestScenario:
