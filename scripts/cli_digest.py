@@ -17,10 +17,11 @@ from FILE is printed with what differs, and the exit code is 1 if any do.
 The corpus holds every ``enumerate -d 0..D`` table and every ``-n 0..2d+2``
 slice in every format, alone, with ``--limit 3`` and with ``--count-only``;
 trees to depth 8; both phi maps forward and inverted for every non-interval
-subset with d <= 6; and stats, check, scenario, dyck, evolve, poset, counts
-past 4,300 digits and the refusals.  ``--max-d`` sets D (default 9) and
-bounds the trees and phi subsets too.  The full corpus takes about 13 s
-(Python 3.11, 2-core VM).
+subset with d <= 6 and for one subset of each phi2 type A-E at d = 200; and
+stats, check, scenario, dyck, evolve, poset, counts past 4,300 digits and
+the refusals.  ``--max-d`` sets D (default 9) and bounds the trees and the
+small phi subsets too.  The full corpus takes about 10 s (Python 3.11,
+2-core VM).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import io
 import json
 import sys
 
-from permdl import cli, non_interval_subsets, phi1, phi2
+from permdl import NonIntervalSubset, cli, non_interval_subsets, phi1, phi2
 
 PERMS = ["6 9 8 4 1 3 7 2 5", "3 1 4 2", "1 2 3", "2 1", "5 4 3 2 1", "1 3 2 0", "1 1"]
 
@@ -53,6 +54,15 @@ REFUSALS = [
     ["poset", "--composition", "3,999999,2", "--format", "json"],
     ["bijection", "phi1", "-d", "1000000000", "1,3"],
     ["bijection", "phi2", "-d", "1000000000", "1,3", "--format", "json"],
+]
+
+# One subset of {1..201} for each phi2 type at d = 200: A, E, D, C, B.
+PHI_D200 = [
+    [v for v in range(1, 202) if v != 100],
+    [1, 4, 201],
+    [1, 2, 150],
+    [v for v in range(1, 151) if v != 40],
+    [*range(1, 100), 101],
 ]
 
 # Counts with more than 4,300 decimal digits: the Catalan number at d = 8000
@@ -85,13 +95,14 @@ def corpus(max_d: int) -> list[list[str]]:
     out.append(["enumerate", "-d", "3", "-n", "5", "--limit", "0"])
     for depth in range(0, min(max_d, 8) + 1):
         out += [["bijection", "tree", "--depth", str(depth), "--format", fmt] for fmt in ("plain", "json")]
-    for d in range(1, min(max_d, 6) + 1):
-        for subset in non_interval_subsets(d):
-            text = ",".join(map(str, sorted(subset.elements)))
-            for name, perm in (("phi1", phi1(subset)), ("phi2", phi2(subset)[0])):
-                for fmt in ("plain", "json"):
-                    out.append(["bijection", name, "-d", str(d), text, "--format", fmt])
-                    out.append(["bijection", name, "--invert", str(perm), "--format", fmt])
+    subsets = [s for d in range(1, min(max_d, 6) + 1) for s in non_interval_subsets(d)]
+    subsets += [NonIntervalSubset(200, frozenset(elements)) for elements in PHI_D200]
+    for subset in subsets:
+        text = ",".join(map(str, sorted(subset.elements)))
+        for name, perm in (("phi1", phi1(subset)), ("phi2", phi2(subset)[0])):
+            for fmt in ("plain", "json"):
+                out.append(["bijection", name, "-d", str(subset.d), text, "--format", fmt])
+                out.append(["bijection", name, "--invert", str(perm), "--format", fmt])
     for name in ("phi1", "phi2"):
         out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
     return out + REFUSALS + LARGE_COUNTS

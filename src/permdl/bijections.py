@@ -11,19 +11,22 @@ The same slice also grows as a generating tree: a node's label says how
 many children it has, the root 2 1 has label 2, and a node with label k
 produces children labelled 2, 3, .., k+1.
 
-Size-(d+2) slice.  Its members split into two camps by where the largest
-value d+2 sits, and each camp is the image of a bijection from the
-non-interval subsets of {1..d+1}: ``phi_top`` sends a subset to the member
-carrying d+2 on top of its ascent, ``phi_front`` to the member starting
-with d+2 or having a consecutive first block.  Together they cover the
-slice exactly once.
+Size-(d+2) slice.  A member has d descents among its d+1 adjacent pairs,
+so exactly one ascent: it is a decreasing first block followed by the rest
+of 1..d+2 decreasing, and the first block alone decides it.  The members
+split into two camps, each the image of a bijection from the non-interval
+subsets of {1..d+1}: ``phi1`` takes the subset as the first block, so d+2
+tops the ascent; ``phi2`` takes a first block that starts with d+2 or is
+consecutive, in one of five shapes A-E.  Together they cover the slice
+exactly once, and the inverses read the subset back off the two blocks.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .minimal import is_minimal
 from .perm import Permutation
@@ -224,37 +227,42 @@ def count_non_interval_subsets(d: int) -> int:
     return 2 ** (d + 1) - (d + 1) * (d + 2) // 2 - 1
 
 
+def _two_blocks(first: Iterable[int], full: int) -> tuple[int, ...]:
+    # The member whose first block holds the values of first: those values
+    # decreasing, then the rest of 1..full decreasing.
+    lead = set(first)
+    rest = itertools.filterfalse(lead.__contains__, range(full, 0, -1))
+    return (*sorted(lead, reverse=True), *rest)
+
+
+def _blocks(p: Permutation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # The one input check of the size-(d+2) inverses: p must be minimal with
+    # d = n-2 descents, so its d+1 adjacent pairs hold exactly one ascent,
+    # where p splits into its two decreasing blocks.
+    d = p.n - 2
+    if d < 1 or not is_minimal(p, d).is_minimal:
+        raise ValueError(f"{p} is not a size-(d+2) minimal permutation")
+    v = p.values
+    ascents = map(operator.lt, v, itertools.islice(v, 1, None))
+    a = next(itertools.compress(itertools.count(1), ascents))
+    return v[:a], v[a:]
+
+
 def phi1(s: NonIntervalSubset) -> Permutation:
     """First bijection: s decreasing, then d+2, then the complement decreasing.
 
     >>> str(phi1(NonIntervalSubset(7, frozenset({3, 4, 5, 8}))))
     '8 5 4 3 9 7 6 2 1'
     """
-    word = (
-        tuple(sorted(s.elements, reverse=True))
-        + (s.d + 2,)
-        + tuple(sorted(s.complement, reverse=True))
-    )
-    return Permutation._trusted(word)
-
-
-def _single_ascent(v: tuple[int, ...]) -> int:
-    """Zero-based index a with v[a] < v[a+1]; size-(d+2) minimal members have one."""
-    ascents = [i for i in range(len(v) - 1) if v[i] < v[i + 1]]
-    if len(ascents) != 1:
-        raise ValueError("expected exactly one ascent")
-    return ascents[0]
+    return Permutation._trusted(_two_blocks(s.elements, s.d + 2))
 
 
 def phi1_inverse(p: Permutation) -> NonIntervalSubset:
     """Recover the subset from a member with d+2 on top of its ascent."""
-    d = p.n - 2
-    if d < 1 or not is_minimal(p, d).is_minimal:
-        raise ValueError(f"{p} is not a size-(d+2) minimal permutation")
-    a = _single_ascent(p.values)
-    if p.values[a + 1] != d + 2:
-        raise ValueError(f"{p} does not carry {d + 2} on top of its ascent")
-    return NonIntervalSubset(d, frozenset(p.values[: a + 1]))
+    first, second = _blocks(p)
+    if second[0] != p.n:
+        raise ValueError(f"{p} does not carry {p.n} on top of its ascent")
+    return NonIntervalSubset(p.n - 2, frozenset(first))
 
 
 @dataclass(frozen=True)
@@ -274,8 +282,28 @@ class S2Classification:
     right: int
 
 
-def _is_consecutive(values: tuple[int, ...]) -> bool:
-    return max(values) - min(values) + 1 == len(values)
+def _diamond(tag: str, v: tuple[int, ...], a: int) -> S2Classification:
+    # The classification of the member v whose first block has length a.
+    return S2Classification(tag, a, v[a - 2], v[a - 1], v[a], v[a + 1])
+
+
+def _classified(p: Permutation) -> tuple[S2Classification, tuple[int, ...], tuple[int, ...]]:
+    # A second-camp member's classification and its two blocks.  A
+    # decreasing block is consecutive when its ends lie len - 1 apart.
+    first, second = _blocks(p)
+    full = p.n
+    if first[0] == full:
+        tag = "D" if second[0] - second[-1] == len(second) - 1 else "E"
+    elif first[0] - first[-1] != len(first) - 1:
+        # The largest value is not at the front, so it tops the ascent.
+        raise ValueError(f"{p} belongs to the first camp, not the second")
+    elif len(first) == 2:
+        tag = "A"
+    elif len(second) >= 3 and second[2] == full - 2:
+        tag = "C"
+    else:
+        tag = "B"
+    return _diamond(tag, p.values, len(first)), first, second
 
 
 def classify_s2(p: Permutation) -> S2Classification:
@@ -284,33 +312,7 @@ def classify_s2(p: Permutation) -> S2Classification:
     Raises on first-camp members (those belong to ``phi1``) and on anything
     that is not a size-(d+2) minimal permutation.
     """
-    d = p.n - 2
-    if d < 1 or not is_minimal(p, d).is_minimal:
-        raise ValueError(f"{p} is not a size-(d+2) minimal permutation")
-    v = p.values
-    a = _single_ascent(v)
-    first, second = v[: a + 1], v[a + 1 :]
-    top_value = d + 2
-    if v[0] == top_value:
-        tag = "D" if _is_consecutive(second) else "E"
-    else:
-        # The largest value is not at the front, so it tops the ascent.
-        if not _is_consecutive(first):
-            raise ValueError(f"{p} belongs to the first camp, not the second")
-        if len(first) == 2:
-            tag = "A"
-        elif len(second) >= 3 and second[2] == d:
-            tag = "C"
-        else:
-            tag = "B"
-    return S2Classification(
-        tag,
-        ascent_position=a + 1,
-        left=v[a - 1],
-        bottom=v[a],
-        top=v[a + 1],
-        right=v[a + 2],
-    )
+    return _classified(p)[0]
 
 
 def phi2(s: NonIntervalSubset) -> tuple[Permutation, S2Classification]:
@@ -318,69 +320,53 @@ def phi2(s: NonIntervalSubset) -> tuple[Permutation, S2Classification]:
 
     With w the complement and s sorted increasingly, the shape is decided by
     comparing w's two smallest values against s's two largest.  Each branch
-    writes down the member directly; the classification of the result is
-    returned along with it.
+    names the member's first block and its type; the rest of 1..d+2 follows
+    decreasing.
     """
     d = s.d
     full = d + 2
-    w = sorted(s.complement)
+    w = s.complement
     ss = sorted(s.elements)
     if len(w) == 1:
-        x = w[0]
-        rest = sorted(set(range(1, full + 1)) - {x, x - 1, full, full - 1}, reverse=True)
-        word = (x, x - 1, full, full - 1, *rest)
+        # s is 1..d+1 less one value x; the first block is x, x-1.
+        first, tag = (w[0], w[0] - 1), "A"
     else:
         w1, w2 = w[0], w[1]
         sn, sn1 = ss[-1], ss[-2]
         size = len(ss)
         if w1 < sn1 and w2 < sn:
-            # Both small complement values nest inside s: d+2 up front,
-            # then the complement decreasing, then s decreasing.
-            word = (full, *sorted(w, reverse=True), *sorted(ss, reverse=True))
+            # Both small complement values nest inside s, which comes last.
+            first, tag = (full, *w), "E"
         elif sn1 < w1 and w2 < sn:
-            # s is a prefix 1..size-1 plus one high straggler sn.
-            tail = tuple(range(sn, sn - size, -1))
-            head = (full,) + tuple(sorted(set(range(1, full)) - set(tail), reverse=True))
-            word = head + tail
-        elif w1 < sn1 and sn < w2:
-            # One low hole at w1; p counts the s-elements above it.
-            p_count = size + 1 - w1
-            tail = tuple(range(full, full - p_count - 1, -1)) + tuple(
-                range(size - p_count - 1, 0, -1)
-            )
-            head = tuple(range(d + 1 - p_count, size - p_count - 1, -1))
-            word = head + tail
+            # s is a prefix 1..size-1 plus one high straggler sn; the size
+            # values ending at sn come last.
+            first, tag = (full, *range(1, sn - size + 1), *range(sn + 1, full)), "D"
+        elif w1 < sn1:
+            # s is 1..size+1 with one low hole at w1.
+            first, tag = range(w1 - 1, d - size + w1 + 1), "C"
         else:
             # s is a prefix 1..size-1 plus the straggler size+1.
-            tail = (full, full - 1) + tuple(range(size - 2, 0, -1))
-            head = tuple(range(d, size - 2, -1))
-            word = head + tail
-    perm = Permutation._trusted(word)
-    return perm, classify_s2(perm)
+            first, tag = range(size - 1, d + 1), "B"
+    word = _two_blocks(first, full)
+    return Permutation._trusted(word), _diamond(tag, word, len(first))
+
+
+def _phi2_inverse(p: Permutation) -> tuple[NonIntervalSubset, S2Classification]:
+    # The subset and the classification of a second-camp member, read off
+    # its two blocks after one input check.
+    cls, first, second = _classified(p)
+    d, size = p.n - 2, len(second)
+    if cls.type_tag == "E":
+        elements = frozenset(second)
+    elif cls.type_tag == "D":
+        elements = frozenset((*range(1, size), second[0]))
+    else:
+        # 1..size+1 with one hole.
+        hole = {"A": first[0], "B": size, "C": size - d + first[0]}[cls.type_tag]
+        elements = frozenset(range(1, size + 2)) - {hole}
+    return NonIntervalSubset(d, elements), cls
 
 
 def phi2_inverse(p: Permutation) -> NonIntervalSubset:
     """Recover the subset from a second-camp member via its classification."""
-    cls = classify_s2(p)
-    d = p.n - 2
-    v = p.values
-    a = cls.ascent_position - 1
-    second = v[a + 1 :]
-    if cls.type_tag == "A":
-        return NonIntervalSubset(d, frozenset(range(1, d + 2)) - {v[0]})
-    if cls.type_tag == "E":
-        return NonIntervalSubset(d, frozenset(second))
-    size = len(second)
-    if cls.type_tag == "D":
-        return NonIntervalSubset(d, frozenset(range(1, size)) | {second[0]})
-    if cls.type_tag == "B":
-        return NonIntervalSubset(d, frozenset(range(1, size)) | {size + 1})
-    # Type C: the run of consecutive values down from d+2 has length p+1 and
-    # cannot leak into the low tail (the tail starts strictly lower).
-    p_count = 0
-    while p_count + 1 < size and second[p_count + 1] == second[p_count] - 1:
-        p_count += 1
-    w1 = size + 1 - p_count
-    return NonIntervalSubset(
-        d, frozenset(range(1, w1)) | frozenset(range(w1 + 1, size + 2))
-    )
+    return _phi2_inverse(p)[0]

@@ -10,9 +10,10 @@ One cap rule bounds every request: an answer is built whole in memory before
 it is printed, so one with more than MAX_LISTED parts is refused before
 anything is built, with one line from ``_refuse_over``.  The parts are the
 members of a listing, the nodes of a tree, the values of an evolve walk, a
-poset or a phi member, and the values of the largest member a count or a
-table answers for.  Counts of listings over the cap stay available through
---count-only, and are printed in full however many digits they have.
+poset or a phi member, the cells of a stats grid, and the values of the
+largest member a count or a table answers for.  Counts of listings over the
+cap stay available through --count-only, and are printed in full however
+many digits they have.
 Exit codes: 0 for success or a true predicate, 1 for a false predicate
 (``check`` on a non-minimal permutation), 2 for usage or parse errors and
 refused requests.
@@ -31,7 +32,7 @@ from .bijections import (
     DyckPath,
     EcoNode,
     NonIntervalSubset,
-    classify_s2,
+    _phi2_inverse,
     dyck_to_perm,
     eco_children,
     eco_root,
@@ -39,7 +40,6 @@ from .bijections import (
     phi1,
     phi1_inverse,
     phi2,
-    phi2_inverse,
 )
 from .duploss import (
     Scenario,
@@ -63,10 +63,10 @@ from .posets import (
 )
 
 
-# The most members a listing, or nodes a tree, may hold, and the most values
-# an evolve walk, a poset, a phi member or the largest member a count or a
-# table answers for may hold: a larger answer is refused up front, since it
-# is built whole in memory before it is printed.
+# The most members a listing, nodes a tree or cells a stats grid may hold,
+# and the most values an evolve walk, a poset, a phi member or the largest
+# member a count or a table answers for may hold: a larger answer is refused
+# up front, since it is built whole in memory before it is printed.
 MAX_LISTED = 10**6
 
 
@@ -124,6 +124,8 @@ def _emit(lines: Iterable[str]) -> None:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
+    if args.grid:
+        _refuse_over(p.n * p.n, f"a grid of {p.n} values has {p.n * p.n} cells")
     ds = descents(p)
     runs = maximal_runs(p).runs
     cost = min_steps(p)
@@ -346,13 +348,12 @@ def _resolve_subset(args: argparse.Namespace) -> NonIntervalSubset:
 
 def cmd_bijection_phi(args: argparse.Namespace) -> int:
     # phi1 and phi2 map the same subsets to size-(d+2) members; phi2 also
-    # reports the S2 classification of its member, which its forward map
-    # makes anyway.
+    # reports the S2 classification of its member, which both of its
+    # directions make anyway.
     phi2_named = args.bijection == "phi2"
     if args.invert:
         perm = parse_permutation(args.arg)
-        subset = (phi2_inverse if phi2_named else phi1_inverse)(perm)
-        cls = classify_s2(perm) if phi2_named else None
+        subset, cls = _phi2_inverse(perm) if phi2_named else (phi1_inverse(perm), None)
     else:
         subset = _resolve_subset(args)
         perm, cls = phi2(subset) if phi2_named else (phi1(subset), None)

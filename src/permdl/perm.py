@@ -196,11 +196,13 @@ def standardize(word: Sequence[int]) -> Permutation:
     (1,)
     """
     word = tuple(word)
+    if not word:
+        raise ValueError("a permutation must have size at least 1")
     if len(set(word)) != len(word):
         dup = next(v for v in word if word.count(v) > 1)
         raise ValueError(f"duplicate value {dup}")
     rank = {v: r for r, v in enumerate(sorted(word), start=1)}
-    return Permutation(tuple(rank[v] for v in word))
+    return Permutation._trusted(tuple(rank[v] for v in word))
 
 
 def remove_element(p: Permutation, index: int) -> Permutation:
@@ -225,5 +227,7 @@ def identity(n: int) -> Permutation:
 
 def all_permutations(n: int) -> Iterator[Permutation]:
     """All permutations of size n in lexicographic order.  For small n only."""
+    if n < 1:
+        raise ValueError("a permutation must have size at least 1")
     for word in itertools.permutations(range(1, n + 1)):
-        yield Permutation(word)
+        yield Permutation._trusted(word)

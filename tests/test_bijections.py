@@ -7,6 +7,8 @@ from permdl import (
     EcoNode,
     NonIntervalSubset,
     Permutation,
+    all_permutations,
+    bijections,
     classify_s2,
     count_non_interval_subsets,
     dyck_to_perm,
@@ -16,6 +18,7 @@ from permdl import (
     generating_tree,
     identity,
     is_minimal,
+    is_minimal_oracle,
     non_interval_subsets,
     parse_permutation,
     perm_to_dyck,
@@ -24,6 +27,7 @@ from permdl import (
     phi2,
     phi2_inverse,
 )
+from permdl.cli import main
 
 from helpers import dyck_words, rule_label_multisets
 
@@ -232,7 +236,9 @@ class TestPhi2:
         assert phi2_inverse(p).elements == s.elements
 
     def test_classification_is_consistent(self):
-        for d in range(2, 7):
+        # phi2 names each branch's type itself; classify_s2 reads it back
+        # off the member.
+        for d in range(2, 11):
             for s in non_interval_subsets(d):
                 p, cls = phi2(s)
                 assert is_minimal(p, d).is_minimal
@@ -282,3 +288,60 @@ class TestPartition:
                         classify_s2(p)
                 else:
                     assert classify_s2(p).type_tag in "ABCDE"
+
+
+def refusal(f, p):
+    try:
+        f(p)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestInputChecks:
+    def test_every_small_permutation_refused_by_camp(self):
+        # A size-(d+2) minimal member (by the removal oracle) lies in exactly
+        # one camp, and the maps of the other camp refuse it: phi1_inverse
+        # because n does not top the ascent, or because the values before n
+        # form an interval.  Every other permutation is refused by all three.
+        for n in range(1, 8):
+            d = n - 2
+            subsets = list(non_interval_subsets(d)) if d >= 1 else []
+            camp1 = {phi1(s).values for s in subsets}
+            camp2 = {phi2(s)[0].values for s in subsets}
+            for p in all_permutations(n):
+                not_member = f"{p} is not a size-(d+2) minimal permutation"
+                first_camp = f"{p} belongs to the first camp, not the second"
+                if p.values in camp1:
+                    expected = (None, first_camp, first_camp)
+                elif p.values in camp2:
+                    top = p.values.index(n)
+                    if top == 0:
+                        expected = (f"{p} does not carry {n} on top of its ascent", None, None)
+                    else:
+                        expected = (f"{sorted(p.values[:top])} is an interval", None, None)
+                else:
+                    assert d < 1 or not is_minimal_oracle(p, d)
+                    expected = (not_member,) * 3
+                assert tuple(refusal(f, p) for f in (phi1_inverse, classify_s2, phi2_inverse)) == expected
+
+    def test_one_minimality_scan_per_input(self, monkeypatch):
+        scanned = []
+
+        def counted(p, d):
+            scanned.append(p)
+            return is_minimal(p, d)
+
+        def invert(p):
+            return main(["bijection", "phi2", "--invert", str(p)])
+
+        monkeypatch.setattr(bijections, "is_minimal", counted)
+        for d in range(2, 6):
+            for s in non_interval_subsets(d):
+                members = phi1(s), phi2(s)[0]
+                assert scanned == []
+                for f in (phi1_inverse, classify_s2, phi2_inverse, invert):
+                    for p in members:
+                        refusal(f, p)
+                        assert scanned == [p]
+                        scanned.clear()

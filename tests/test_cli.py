@@ -78,6 +78,17 @@ class TestStats:
             ". o . .\n"
         )
 
+    def test_grid_cap(self, capsys):
+        # A grid of n values prints n lines of n cells: 1000 values are
+        # answered, 1001 refused in one line.
+        code, out, _ = run(capsys, "stats", " ".join(map(str, range(1000, 0, -1))), "--grid")
+        assert code == 0
+        grid = out.splitlines()[-1000:]
+        assert grid[0] == "o" + " ." * 999 and grid[-1] == ". " * 999 + "o"
+        code, out, err = run(capsys, "stats", " ".join(map(str, range(1001, 0, -1))), "--grid")
+        assert (code, out) == (2, "")
+        assert err == "error: a grid of 1001 values has 1002001 cells, more than the 1000000 a request may hold\n"
+
     def test_bfile_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["stats", "2 1", "--format", "bfile"])

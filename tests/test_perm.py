@@ -48,6 +48,9 @@ class TestPermutation:
         assert sorted(p.values for p in all_permutations(3)) == [
             (1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1),
         ]
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="size at least 1"):
+                next(all_permutations(n))
 
 
 class TestParse:
@@ -170,6 +173,12 @@ class TestScansMatchDefinitions:
 class TestStandardize:
     def test_example(self):
         assert standardize((1, 5, 6, 3)).values == (1, 3, 4, 2)
+
+    def test_refuses_empty_and_repeated_words(self):
+        with pytest.raises(ValueError, match="size at least 1"):
+            standardize(())
+        with pytest.raises(ValueError, match="duplicate value 5"):
+            standardize((1, 5, 6, 5))
 
     @given(perms)
     def test_fixes_permutations(self, p):

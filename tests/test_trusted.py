@@ -1,7 +1,8 @@
 """Every site that wraps words without the checks of the public constructors.
 
 ``Permutation._trusted`` skips the range and duplicate loop (the library
-built the word, or ``parse_permutation`` checked it in one pass),
+built the word, or ``parse_permutation`` or ``standardize`` checked it in
+one pass),
 ``eco_children`` skips the minimality check of ``EcoNode``, and
 ``build_poset`` skips the range and cycle checks of ``DiamondPoset``.  Each
 test here rebuilds a sample of one site's outputs through the public,
@@ -35,6 +36,7 @@ from permdl import (
     phi1,
     phi2,
     random_evolution,
+    standardize,
     synthesize_scenario,
 )
 
@@ -59,6 +61,20 @@ def test_public_constructors_still_check():
 def test_identity():
     for n in (1, 2, 3, 10, 1000):
         assert rebuilt(identity(n)).values == tuple(range(1, n + 1))
+
+
+def test_all_permutations():
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            rebuilt(p)
+
+
+def test_standardize():
+    for word in ((42,), (1, 5, 6, 3), (-3, 10, 0, 7, 2), tuple(range(500, 0, -3))):
+        rebuilt(standardize(word))
+    for p in all_permutations(5):
+        for kept in itertools.combinations(p.values, 3):
+            rebuilt(standardize(kept))
 
 
 def test_parse_permutation():
