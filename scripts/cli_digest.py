@@ -17,11 +17,12 @@ from FILE is printed with what differs, and the exit code is 1 if any do.
 The corpus holds every ``enumerate -d 0..D`` table and every ``-n 0..2d+2``
 slice in every format, alone, with ``--limit 3`` and with ``--count-only``;
 trees to depth 8; both phi maps forward and inverted for every non-interval
-subset with d <= 6 and for one subset of each phi2 type A-E at d = 200; and
-stats, check, scenario, dyck, evolve, poset, counts past 4,300 digits and
-the refusals.  ``--max-d`` sets D (default 9) and bounds the trees and the
-small phi subsets too.  The full corpus takes about 10 s (Python 3.11,
-2-core VM).
+subset with d <= 6 and for one subset of each phi2 type A-E at d = 200;
+stats, check, scenario, dyck, evolve, poset, stats on two Dyck members of
+sizes 1,000 and 10,000 (501 and 5,001 runs), counts at sizes d+3 and 2d-2
+for d = 10, 20, 30 and 40, counts past 4,300 digits and the refusals.
+``--max-d`` sets D (default 9) and bounds the trees and the small phi
+subsets too.  The full corpus takes about 10 s (Python 3.11, 2-core VM).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import io
 import json
 import sys
 
-from permdl import NonIntervalSubset, cli, non_interval_subsets, phi1, phi2
+from permdl import DyckPath, NonIntervalSubset, cli, dyck_to_perm, non_interval_subsets, phi1, phi2
 
 PERMS = ["6 9 8 4 1 3 7 2 5", "3 1 4 2", "1 2 3", "2 1", "5 4 3 2 1", "1 3 2 0", "1 1"]
 
@@ -74,8 +75,23 @@ LARGE_COUNTS = [
 ]
 
 
+# Counts on the diagonals n = d+3 and n = 2d-2, in plain text and json.
+DIAGONAL_COUNTS = [
+    ["enumerate", "-d", str(d), "-n", str(n), "--count-only", "--format", fmt]
+    for d in (10, 20, 30, 40)
+    for n in (d + 3, 2 * d - 2)
+    for fmt in ("plain", "json")
+]
+
+# Hosts with many runs: Dyck members of sizes 1,000 and 10,000.
+MANY_RUNS = ["UUDUDD" * 166 + "UUDD", "UUDD" * 2500]
+
+
 def corpus(max_d: int) -> list[list[str]]:
     out = []
+    for steps in MANY_RUNS:
+        perm = str(dyck_to_perm(DyckPath(steps)))
+        out += [["stats", perm, "--format", fmt] for fmt in ("plain", "csv")]
     for perm in PERMS:
         out += [["stats", perm, "--format", fmt] for fmt in ("plain", "json", "csv")]
         out += [["stats", perm, "--grid"], ["scenario", perm], ["scenario", perm, "--format", "json"]]
@@ -105,7 +121,7 @@ def corpus(max_d: int) -> list[list[str]]:
                 out.append(["bijection", name, "--invert", str(perm), "--format", fmt])
     for name in ("phi1", "phi2"):
         out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
-    return out + REFUSALS + LARGE_COUNTS
+    return out + DIAGONAL_COUNTS + REFUSALS + LARGE_COUNTS
 
 
 def run(argv: list[str]) -> dict:

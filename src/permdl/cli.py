@@ -127,7 +127,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if args.grid:
         _refuse_over(p.n * p.n, f"a grid of {p.n} values has {p.n * p.n} cells")
     ds = descents(p)
-    runs = maximal_runs(p).runs
     cost = min_steps(p)
     if args.format == "json":
         print(
@@ -136,28 +135,35 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     "permutation": list(p.values),
                     "descent_count": ds.count,
                     "descent_positions": list(ds.positions),
-                    "runs": [list(r) for r in runs],
+                    "runs": [list(r) for r in maximal_runs(p).runs],
                     "min_steps": cost,
                 }
             )
         )
         return 0
-    runs_text = " | ".join(" ".join(map(str, r)) for r in runs)
+    # One list of names serves the permutation and its runs: a run ends
+    # after each descent position.
+    names = list(map(str, p.values))
+    perm_text = " ".join(names)
+    for i in ds.positions:
+        names[i - 1] += " |"
+    runs_text = " ".join(names)
+    positions_text = " ".join(map(str, ds.positions))
     if args.format == "csv":
         _emit(
             [
                 "statistic,value",
-                f"permutation,{p}",
+                f"permutation,{perm_text}",
                 f"descent_count,{ds.count}",
-                f"descent_positions,{' '.join(str(i) for i in ds.positions) or '-'}",
+                f"descent_positions,{positions_text or '-'}",
                 f"runs,{runs_text.replace(' | ', '|')}",
                 f"min_steps,{cost}",
             ]
         )
         return 0
-    lines = [f"permutation: {p}"]
+    lines = [f"permutation: {perm_text}"]
     if ds.count:
-        lines.append(f"descents: {ds.count} at positions {' '.join(str(i) for i in ds.positions)}")
+        lines.append(f"descents: {ds.count} at positions {positions_text}")
     else:
         lines.append("descents: 0")
     lines.append(f"runs: {runs_text}")

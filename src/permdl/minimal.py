@@ -16,10 +16,10 @@ it is kept as the oracle the tests and the golden files check the
 labelling route against.  ``count_basis`` counts a slice without listing
 it: since the window rules are local, it scans left to right over the
 relative ranks of the last two values, in time polynomial in n, and
-answers the sizes d+1, d+2, 2d-1 and 2d in closed form.  ``count_table``
-runs the same scan once over lengths 2..2d and reads the count of every
-size d+1..2d off it, where a table of ``count_basis`` calls would rescan
-every short prefix once per size.
+answers the sizes d+1, d+2, d+3, 2d-2, 2d-1 and 2d in closed form.
+``count_table`` runs the same scan once over lengths 2..2d and reads the
+count of every size d+1..2d off it, where a table of ``count_basis``
+calls would rescan every short prefix once per size.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .perm import Permutation, descent_count
-from .posets import DiamondPoset, _slice_words, _unpack, build_poset, compositions, count_labellings
+from .posets import _slice_words, _unpack
 
 __all__ = [
     "BasisSlice",
@@ -237,10 +237,23 @@ def count_basis(d: int, n: int) -> int:
     reaches d descents before length n.  No member is materialized.  This
     is the scan of ``count_table`` stopped at n.
 
-    The four edge sizes have closed forms, answered without the scan: one
-    member at n = d+1, 2**(d+2) - (d+1)(d+2) - 2 at n = d+2,
-    2**(d-2) * C(2d-1, d-2) at n = 2d-1 and the Catalan number at n = 2d.
-    The tests check them against the scan.
+    Six sizes have closed forms, answered without the scan, with
+    Cat(k) = C(2k, k)/(k+1):
+
+    - n = d+1: one member, the decreasing word;
+    - n = d+2: 2**(d+2) - (d+1)(d+2) - 2;
+    - n = d+3: 3**(d+3) - 4(d**2 + 4d + 7) * 2**d
+      + (d**4 + 5d**3 + 10d**2 + 12d + 2)/2;
+    - n = 2d-2: Cat(d-1) * ((d+1) * 4**(d-1) - 2(2d**2 + 3d + 4) * 3**(d-3)) / (d+1);
+    - n = 2d-1: 2**(d-2) * C(2d-1, d-2);
+    - n = 2d: Cat(d).
+
+    The sizes d+2 and 2d are the paper's counts; the forms at d+3, 2d-2
+    and 2d-1 were guessed from exact counts and are checked, not proved.
+    The tests pin every form against the scan: d+1, d+2 and 2d for
+    d = 1..60, d+3 and 2d-2 for d = 3..40 and at 60, and 2d-1 for
+    d = 2..40.  The halving and the division by d+1 are exact.  Where two
+    sizes coincide, as d+3 = 2d at d = 3, their forms agree.
 
     >>> [count_basis(4, n) for n in range(5, 9)]
     [1, 32, 84, 14]
@@ -253,6 +266,12 @@ def count_basis(d: int, n: int) -> int:
         return 1
     if n == d + 2:
         return 2 ** (d + 2) - (d + 1) * (d + 2) - 2
+    if n == d + 3:
+        quartic = d**4 + 5 * d**3 + 10 * d * d + 12 * d + 2
+        return 3 ** (d + 3) - 4 * (d * d + 4 * d + 7) * 2**d + quartic // 2
+    if n == 2 * d - 2:
+        catalan = comb(2 * d - 2, d - 1) // d
+        return catalan * ((d + 1) * 4 ** (d - 1) - 2 * (2 * d * d + 3 * d + 4) * 3 ** (d - 3)) // (d + 1)
     if n == 2 * d - 1:
         return 2 ** (d - 2) * comb(2 * d - 1, d - 2)
     if n == 2 * d:
@@ -283,18 +302,21 @@ def count_by_diamond_type(d: int) -> tuple[int, int]:
     """Split the size-(d+2) slice by the shape of its single ascent.
 
     Returns (n1, n2) where n1 counts members whose ascent neighbourhood is
-    ordered like 2 1 4 3 and n2 those ordered like 3 1 4 2.
+    ordered like 2 1 4 3 and n2 those ordered like 3 1 4 2.  A member is a
+    decreasing first block followed by the rest of 1..d+2 decreasing.  One
+    of type 3 1 4 2 is fixed by the value t after its top, its bottom
+    a < t and its top b > t+1: the first block is a and every value above
+    t but b.  So n2 = sum of (t-1)(d+1-t) over t = 2..d, which is
+    C(d+1, 3), and n1 is the rest of the slice.  The tests check both
+    against the authorized labellings of each shape poset for d = 2..30.
+
+    >>> count_by_diamond_type(4)
+    (22, 10)
     """
     if d < 2:
         raise ValueError("the size-(d+2) slice needs d >= 2")
-    n1 = 0
-    for c in compositions(d, d + 2):
-        (i,) = c.ascent_positions()
-        poset = build_poset(c)
-        # Type 2 1 4 3 is the shape poset plus the cover (i-1, i+2): the
-        # value before the ascent lies below the value after it.
-        n1 += count_labellings(DiamondPoset(poset.size, poset.covers | {(i - 1, i + 2)}))
-    return n1, count_basis(d, d + 2) - n1
+    n2 = comb(d + 1, 3)
+    return count_basis(d, d + 2) - n2, n2
 
 
 def slice_to_text(s: BasisSlice) -> str:

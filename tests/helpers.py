@@ -11,7 +11,15 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from permdl import DuplicationStep, Permutation, apply_step, build_poset, compositions, count_labellings
+from permdl import (
+    DiamondPoset,
+    DuplicationStep,
+    Permutation,
+    apply_step,
+    build_poset,
+    compositions,
+    count_labellings,
+)
 
 
 def standardized(word: tuple[int, ...]) -> tuple[int, ...]:
@@ -68,6 +76,23 @@ def composition_count(d: int, n: int) -> int:
     Exponential in d; keep d small.
     """
     return sum(count_labellings(build_poset(c)) for c in compositions(d, n))
+
+
+def diamond_split_by_posets(d: int) -> tuple[int, int]:
+    """The size-(d+2) slice split by ascent shape, (2 1 4 3, 3 1 4 2).
+
+    Each composition of the slice has one ascent, at i.  Its members of
+    type 2 1 4 3 are the down-set count of the shape poset plus the cover
+    (i-1, i+2): the value before the ascent lies below the value after it.
+    Independent of the block argument behind ``count_by_diamond_type``.
+    """
+    n1 = total = 0
+    for c in compositions(d, d + 2):
+        (i,) = c.ascent_positions()
+        poset = build_poset(c)
+        n1 += count_labellings(DiamondPoset(poset.size, poset.covers | {(i - 1, i + 2)}))
+        total += count_labellings(poset)
+    return n1, total - n1
 
 
 def list_step(word: list[int], kept_first) -> list[int]:

@@ -11,9 +11,11 @@ import pytest
 
 import permdl
 from permdl import (
+    DyckPath,
     cli,
     classify_s2,
     count_basis,
+    dyck_to_perm,
     enumerate_basis,
     generating_tree,
     non_interval_subsets,
@@ -67,6 +69,32 @@ class TestStats:
         assert code == 0
         assert out.splitlines()[0] == "statistic,value"
         assert "min_steps,2" in out
+
+    def test_many_runs_match_the_definition(self, capsys):
+        # A size-2,000 Dyck member has 1,000 descents, so 1,001 runs.  The
+        # runs are cut here pair by pair, straight from the definition.
+        values = dyck_to_perm(DyckPath("UUDUDD" * 333 + "UD")).values
+        runs, positions = [[values[0]]], []
+        for i, (a, b) in enumerate(zip(values, values[1:]), start=1):
+            if a > b:
+                runs.append([])
+                positions.append(str(i))
+            runs[-1].append(b)
+        assert len(runs) == 1001
+        perm_text = " ".join(map(str, values))
+        runs_text = " | ".join(" ".join(map(str, r)) for r in runs)
+        assert run(capsys, "stats", perm_text) == (0, (
+            f"permutation: {perm_text}\n"
+            f"descents: 1000 at positions {' '.join(positions)}\n"
+            f"runs: {runs_text}\n"
+            "min steps: 10\n"
+        ), "")
+        assert run(capsys, "stats", perm_text, "--format", "csv")[1].splitlines()[1:5] == [
+            f"permutation,{perm_text}",
+            "descent_count,1000",
+            f"descent_positions,{' '.join(positions)}",
+            f"runs,{'|'.join(' '.join(map(str, r)) for r in runs)}",
+        ]
 
     def test_grid(self, capsys):
         code, out, _ = run(capsys, "stats", "3 1 4 2", "--grid")
@@ -189,13 +217,18 @@ class TestEnumerate:
 
     def test_count_only_far_beyond_listing(self, capsys):
         # (30, 45) has 77.5 million descent compositions; (1200, 1201) one of
-        # 1201 elements.  The edge sizes are answered in closed form.  None
-        # may take long.
+        # 1201 elements.  The sizes d+1, d+2, d+3, 2d-2, 2d-1 and 2d are
+        # answered in closed form; a scan of (400, 403) or (300, 598) would
+        # take 20-50 s.  None may take long.
         for d, n, want in (
             (30, 45, count_basis(30, 45)),
             (1200, 1201, 1),
             (400, 402, 2**402 - 401 * 402 - 2),
             (1000, 1002, 2**1002 - 1001 * 1002 - 2),
+            (400, 403, 3**403 - 4 * (400**2 + 4 * 400 + 7) * 2**400
+             + (400**4 + 5 * 400**3 + 10 * 400**2 + 12 * 400 + 2) // 2),
+            (300, 598, comb(598, 299) // 300
+             * (301 * 4**299 - 2 * (2 * 300**2 + 3 * 300 + 4) * 3**297) // 301),
             (1200, 2399, 2**1198 * comb(2399, 1198)),
             (1200, 2400, comb(2400, 1200) // 1201),
         ):
@@ -246,7 +279,7 @@ class TestEnumerate:
         assert lines[0] == "# d=40 sizes 41..80"
         counts = dict(map(int, line.split()) for line in lines[1:-1])
         assert list(counts) == list(range(41, 81))
-        # Sizes d+1, d+2 and 2d have closed forms; the Catalan number C_40 is the last.
+        # The scan's first two sizes and its last, the Catalan number C_40, match their closed forms.
         assert counts[41] == 1 and counts[42] == 2**42 - 41 * 42 - 2
         assert counts[80] == 2622127042276492108820
         assert lines[-1] == f"total {sum(counts.values())}"

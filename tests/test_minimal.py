@@ -24,11 +24,27 @@ from permdl import (
 )
 from permdl.minimal import _rank_scan, _window_failure
 
-from helpers import composition_count, definition_minimal
+from helpers import composition_count, definition_minimal, diamond_split_by_posets
 
 
 def closed_form_slice_count(d: int) -> int:
     return 2 ** (d + 2) - (d + 1) * (d + 2) - 2
+
+
+def catalan(k: int) -> int:
+    return comb(2 * k, k) // (k + 1)
+
+
+def guessed_d_plus_3(d: int) -> int:
+    quartic = d**4 + 5 * d**3 + 10 * d**2 + 12 * d + 2
+    assert quartic % 2 == 0
+    return 3 ** (d + 3) - 4 * (d**2 + 4 * d + 7) * 2**d + quartic // 2
+
+
+def guessed_2d_minus_2(d: int) -> int:
+    scaled = catalan(d - 1) * ((d + 1) * 4 ** (d - 1) - 2 * (2 * d**2 + 3 * d + 4) * 3 ** (d - 3))
+    assert scaled % (d + 1) == 0
+    return scaled // (d + 1)
 
 
 class TestIsMinimal:
@@ -200,7 +216,19 @@ class TestCountBasis:
             if 2 <= d <= 40:  # scanning on to d = 60 would add about 2 s
                 want = 2 ** (d - 2) * comb(2 * d - 1, d - 2)
                 assert _rank_scan(d, 2 * d - 1)[2 * d - 1] == count_basis(d, 2 * d - 1) == want
-            assert _rank_scan(d, 2 * d)[2 * d] == count_basis(d, 2 * d) == comb(2 * d, d) // (d + 1)
+            assert _rank_scan(d, 2 * d)[2 * d] == count_basis(d, 2 * d) == catalan(d)
+
+    # The d+3 and 2d-2 forms are guesses, so each is pinned against the
+    # scan on every d it answers up to 40, and at 60.
+    @pytest.mark.parametrize(
+        "size, form",
+        [(lambda d: d + 3, guessed_d_plus_3), (lambda d: 2 * d - 2, guessed_2d_minus_2)],
+        ids=["d+3", "2d-2"],
+    )
+    def test_guessed_forms_match_the_scan(self, size, form):
+        for d in [*range(3, 41), 60]:
+            n = size(d)
+            assert _rank_scan(d, n)[n] == count_basis(d, n) == form(d), d
 
     def test_zero_outside_d_plus_1_to_2d(self):
         for d in range(1, 61):
@@ -220,6 +248,10 @@ class TestDiamondTypes:
             assert n1 == 2 ** (d + 2) - (d + 1) * (d + 2) * (d + 3) // 6 - d - 3
             assert n2 == d * (d - 1) * (d + 1) // 6
             assert n1 + n2 == closed_form_slice_count(d)
+
+    def test_matches_poset_oracle_to_d_30(self):
+        for d in range(2, 31):
+            assert count_by_diamond_type(d) == diamond_split_by_posets(d), d
 
 
 class TestSliceText:
