@@ -20,7 +20,13 @@ trees to depth 8; both phi maps forward and inverted for every non-interval
 subset with d <= 6 and for one subset of each phi2 type A-E at d = 200;
 stats, check, scenario, dyck, evolve, poset, stats on two Dyck members of
 sizes 1,000 and 10,000 (501 and 5,001 runs), counts at sizes d+3 and 2d-2
-for d = 10, 20, 30 and 40, counts past 4,300 digits and the refusals.
+for d = 10, 20, 30 and 40, counts past 4,300 digits, the json listing of the
+(13, 15) slice (32,556 members, two text chunks) whole and cut at 20,000,
+and the refusals.  Refusals that checkouts older than the diagonal listing
+floor take about 13 s or forever on (``enumerate -d 500000 -n 1000000``,
+``-d 500000 -n 999999``, ``-d 1000000000 -n 2000000000``) are left out, so
+the corpus runs on those checkouts too; ``-d 182 -n 186`` (about 5 s there)
+is in.
 ``--max-d`` sets D (default 9) and bounds the trees and the small phi
 subsets too.  The full corpus takes about 10 s (Python 3.11, 2-core VM).
 """
@@ -45,6 +51,7 @@ REFUSALS = [
     ["enumerate", "-d", "1200", "-n", "2399"],
     ["enumerate", "-d", "1000", "-n", "1002", "--format", "csv"],
     ["enumerate", "-d", "15000", "-n", "15002"],
+    ["enumerate", "-d", "182", "-n", "186"],
     ["enumerate", "-d", "1000000", "-n", "1000001"],
     ["enumerate", "-d", "1000000000", "-n", "1000000002", "--count-only"],
     ["bijection", "tree", "--depth", "13"],
@@ -81,6 +88,12 @@ DIAGONAL_COUNTS = [
     for d in (10, 20, 30, 40)
     for n in (d + 3, 2 * d - 2)
     for fmt in ("plain", "json")
+]
+
+# A json listing past one text chunk of 16,384 lines, whole and cut.
+JSON_LISTINGS = [
+    ["enumerate", "-d", "13", "-n", "15", "--format", "json"],
+    ["enumerate", "-d", "13", "-n", "15", "--format", "json", "--limit", "20000"],
 ]
 
 # Hosts with many runs: Dyck members of sizes 1,000 and 10,000.
@@ -121,7 +134,7 @@ def corpus(max_d: int) -> list[list[str]]:
                 out.append(["bijection", name, "--invert", str(perm), "--format", fmt])
     for name in ("phi1", "phi2"):
         out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
-    return out + DIAGONAL_COUNTS + REFUSALS + LARGE_COUNTS
+    return out + DIAGONAL_COUNTS + JSON_LISTINGS + REFUSALS + LARGE_COUNTS
 
 
 def run(argv: list[str]) -> dict:

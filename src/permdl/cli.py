@@ -3,17 +3,21 @@
 Every command is deterministic for fixed arguments (including --seed), and
 identical invocations print byte-identical output.  Slice listings come from
 the labellings of the shape posets, the one production enumeration route,
-and are rendered from the digits of those packed words: the library built
-them, so they are not checked again on the way out.
+and every format is written from the text chunks of those packed words: the
+library built them, so they are not checked again on the way out.
 
 One cap rule bounds every request: an answer is built whole in memory before
 it is printed, so one with more than MAX_LISTED parts is refused before
 anything is built, with one line from ``_refuse_over``.  The parts are the
 members of a listing, the nodes of a tree, the values of an evolve walk, a
 poset or a phi member, the cells of a stats grid, and the values of the
-largest member a count or a table answers for.  Counts of listings over the
-cap stay available through --count-only, and are printed in full however
-many digits they have.
+largest member a count or a table answers for.  A listing is refused on its
+member size first, before anything is counted, then on the diagonal
+n - d = j it lies on: slice counts never fall along it, and it starts at a
+slice of at least 2^(j-1) members, so a floor and a walk of a few small
+counts up the diagonal refuse it.  Counts of listings over the cap stay
+available through --count-only, and are printed in full however many digits
+they have.
 Exit codes: 0 for success or a true predicate, 1 for a false predicate
 (``check`` on a non-minimal permutation), 2 for usage or parse errors and
 refused requests.
@@ -55,7 +59,6 @@ from .posets import (
     _CHUNK_LINES,
     DescentComposition,
     _slice_words,
-    _unpack,
     _word_chunks,
     build_poset,
     ladder,
@@ -83,34 +86,6 @@ def _word_renderer(n: int) -> Callable[[Iterable[int]], str]:
     # once.
     names = [str(v) for v in range(n + 1)]
     return lambda word: " ".join(map(names.__getitem__, word))
-
-
-def _compositions_exceed(d: int, n: int, cap: int) -> bool:
-    # Whether the size-n slice for d descents has more than cap descent
-    # compositions, comb(d-1, n-d-1), each the composition of at least one
-    # member.  comb(N, i) = comb(N, i-1) * (N-i+1) / i grows with i up to
-    # N/2, so a few factors settle it at any size, where math.comb itself
-    # takes seconds once N passes 10^6.
-    top, k = d - 1, n - d - 1
-    if not 0 <= k <= top:
-        return False
-    c = 1
-    for i in range(1, min(k, top - k) + 1):
-        if c > cap:
-            return True
-        c = c * (top - i + 1) // i
-    return c > cap
-
-
-def _members(count: int) -> str:
-    # A count of members as text, or, past the interpreter's limit on the
-    # digits of an int turned into text, as the power of ten it passes:
-    # 10^k <= 2^(bits-1) <= count for k = floor((bits-1) * 0.30102999),
-    # since 0.30102999 < log10(2).
-    try:
-        return f"{count} members"
-    except ValueError:
-        return f"more than 10^{int((count.bit_length() - 1) * 0.30102999)} members"
 
 
 def _emit(lines: Iterable[str]) -> None:
@@ -213,19 +188,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         raise ValueError("d must be at least 1")
     n = args.size
     listing = n is not None and not args.count_only
-    if listing:
-        if args.format == "bfile":
-            raise ValueError("format 'bfile' does not apply here (use plain/json/csv)")
-        # The whole slice is built before --limit truncates it, so the cap
-        # holds with or without --limit.  A bound refuses most slices over
-        # the cap before they are counted.
-        if _compositions_exceed(d, n, MAX_LISTED):
-            raise ValueError(
-                f"the d={d} n={n} slice has more than the {MAX_LISTED} members a listing may hold "
-                "(at least one per descent composition); use --count-only"
-            )
-        count = count_basis(d, n)
-        _refuse_over(count, f"the d={d} n={n} slice has {_members(count)}", "a listing", "; use --count-only")
+    if listing and args.format == "bfile":
+        raise ValueError("format 'bfile' does not apply here (use plain/json/csv)")
     # The closed forms of count_basis, the rank scan of a table and the
     # posets of a listing take memory in proportion to the largest member
     # answered for: size n, or 2d for a whole table.  An empty slice, n
@@ -259,14 +223,30 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         finally:
             sys.set_int_max_str_digits(limit)
         return 0
+    # The whole slice is built before --limit truncates it, so the cap holds
+    # with or without --limit.  Slice counts never fall along a diagonal
+    # n - d = j: prepending a new largest value to a member keeps it minimal
+    # with one more descent.  The diagonal starts at the size-2j slice, with
+    # Cat(j) >= 2^(j-1) members, and every one with j >= 2 passes the cap by
+    # d = 18, so a few small counts refuse any slice over it.
+    j = n - d
+    if 1 < j <= d:
+        hint = "; use --count-only"
+        _refuse_over(1 << (j - 1), f"the d={d} n={n} slice has at least 2^{j - 1} members", "a listing", hint)
+        for e in range(j, d + 1):
+            count = count_basis(e, e + j)
+            least = "" if e == d else "at least "
+            _refuse_over(count, f"the d={d} n={n} slice has {least}{count} members", "a listing", hint)
     words = _slice_words(d, n)
     truncated = args.limit is not None and len(words) > args.limit
     shown = words[: args.limit] if truncated else words
     if args.format == "json":
-        payload = {"d": d, "n": n, "count": len(words), "members": list(_unpack(shown, n))}
-        if truncated:
-            payload["truncated"] = True
-        print(json.dumps(payload))
+        # json.dumps's text, written around the plain chunks: each line is
+        # one list, its values and the lists separated by ", ".
+        sys.stdout.write(json.dumps({"d": d, "n": n, "count": len(words)})[:-1] + ', "members": [')
+        for i, chunk in enumerate(_word_chunks(shown, n)):
+            sys.stdout.write((", [" if i else "[") + chunk[:-1].replace(" ", ", ").replace("\n", "], [") + "]")
+        print("]" + (', "truncated": true' if truncated else "") + "}")
         return 0
     if args.format == "csv":
         # The rows are the plain lines, each after its index.  zip draws a
@@ -396,14 +376,12 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
         raise ValueError("depth must be at least 1")
     # Level t holds the size-2t slice; stop counting once past the cap.
     # Below the cap, these counts are the level sizes printed after the tree.
-    sizes = []
+    hint = "; count level t with 'enumerate -d t -n 2t --count-only'"
+    sizes, nodes = [], 0
     for t in range(1, args.depth + 1):
         sizes.append(count_basis(t, 2 * t))
-        if sum(sizes) > MAX_LISTED:
-            raise ValueError(
-                f"a tree of depth {args.depth} has more than {MAX_LISTED} nodes; "
-                "count level t with 'enumerate -d t -n 2t --count-only'"
-            )
+        nodes += sizes[-1]
+        _refuse_over(nodes, f"a tree of depth {args.depth} has at least {nodes} nodes", hint=hint)
     if args.format == "json":
         print(json.dumps({"depth": args.depth, "root": _tree_json(eco_root(), args.depth)}))
         return 0

@@ -19,8 +19,10 @@ integer add per word extends by a node.
 
 This module owns that packed format: the digit width, the byte order, digit
 0 as the line break of a rendered listing, and the text chunks a listing is
-written in.  Callers get sorted words from ``_slice_words``, tuples from
-``_unpack`` and text from ``_word_chunks``.  Every word reaches bytes through
+written in.  Callers get sorted words from ``_slice_words`` and text from
+``_word_chunks``, which every listing format is written from; only the
+library (``enumerate_basis``, ``authorized_labellings``) takes tuples from
+``_unpack``.  Every word reaches bytes through
 one join of ``int.to_bytes``.  Below n = 256, where digits are one byte,
 text is made with no Python step per word or digit: one ``bytes.translate``
 per character column of the value names, interleaved and stripped of

@@ -387,7 +387,7 @@ class TestListingRoute:
             ("enumerate", "-d", str(d), "-n", str(n), "--format", fmt, *limit)
             for d in range(1, 7)
             for n in range(d + 1, 2 * d + 1)
-            for fmt in ("plain", "csv")
+            for fmt in ("plain", "csv", "json")
             for limit in ((), ("--limit", "3"), ("--limit", "7"))
         ]
         whole = [run(capsys, *argv) for argv in cases]
@@ -432,15 +432,30 @@ class TestRefusals:
             ["enumerate", "-d", "10", "-n", "16", "--limit", "5"],
             ["enumerate", "-d", "30", "-n", "45", "--limit", "5", "--format", "json"],
             ["enumerate", "-d", "8", "-n", "12", "--format", "csv"],
-            # Refused on the number of descent compositions, before the
-            # count, which takes about 1 and 13 s for these slices.
+            # Refused on the floor of their diagonal or on a few small
+            # counts along it, never on their own count, which takes about
+            # 1, 13, 5 and 13 s for (60, 90), (100, 150), (182, 186) and the
+            # two d = 500000 slices.
             ["enumerate", "-d", "60", "-n", "90"],
             ["enumerate", "-d", "100", "-n", "150", "--limit", "5"],
-            # Refused on the exact count, in closed form.
             ["enumerate", "-d", "1200", "-n", "2399"],
             ["enumerate", "-d", "1000", "-n", "1002", "--format", "csv"],
+            ["enumerate", "-d", "182", "-n", "186"],
+            ["enumerate", "-d", "500000", "-n", "1000000"],
+            ["enumerate", "-d", "500000", "-n", "999999", "--format", "json"],
         ):
             assert "--count-only" in self.refused(capsys, *argv)
+        # Its count, about 1.1 * 10^4516, passes the digits the interpreter
+        # turns into text; the walk stops at the d=18 member of its diagonal.
+        for fmt in ("plain", "json"):
+            err = self.refused(capsys, "enumerate", "-d", "15000", "-n", "15002", "--format", fmt)
+            assert err == (
+                "error: the d=15000 n=15002 slice has at least 1048194 members, "
+                "more than the 1000000 a listing may hold; use --count-only\n"
+            )
+        # Members of 2 * 10^9 values are refused before the slice is counted.
+        err = self.refused(capsys, "enumerate", "-d", "1000000000", "-n", "2000000000")
+        assert err == "error: a d=1000000000 member has 2000000000 values, more than the 1000000 a request may hold\n"
 
     def test_trees_too_large_to_print(self, capsys):
         for depth in ("13", "20", "1000000000"):
@@ -491,32 +506,29 @@ class TestRefusals:
         for argv in at_eight:
             self.refused(capsys, *argv)
 
-    def test_composition_bound_refuses_before_counting(self, capsys, monkeypatch):
-        # (5, 7) has comb(4, 1) = 4 descent compositions and 84 members.  At
-        # a cap of 4 the bound leaves it open and the count refuses it; at 3
-        # the bound refuses it without a count.
+    def test_diagonal_walk_refuses_before_counting(self, capsys, monkeypatch):
+        # (5, 7) lies on the diagonal n - d = 2, whose slices (2, 4), (3, 5),
+        # (4, 6) and (5, 7) have 2, 10, 32 and 84 members.  At a cap of 9 the
+        # walk stops at (3, 5), and (5, 7) itself is never counted.
+        counted = []
+        monkeypatch.setattr(cli, "count_basis", lambda d, n: counted.append((d, n)) or count_basis(d, n))
+        monkeypatch.setattr(cli, "MAX_LISTED", 9)
+        err = self.refused(capsys, "enumerate", "-d", "5", "-n", "7")
+        assert err == "error: the d=5 n=7 slice has at least 10 members, more than the 9 a listing may hold; use --count-only\n"
+        assert counted == [(2, 4), (3, 5)]
+        # Where the walk stops at the slice itself, its count is exact.
+        err = self.refused(capsys, "enumerate", "-d", "3", "-n", "5")
+        assert err == "error: the d=3 n=5 slice has 10 members, more than the 9 a listing may hold; use --count-only\n"
+        # Past the floor 2^(j-1), nothing is counted; the member size comes
+        # first, so the floor needs a cap of at least n.
+        counted.clear()
+        monkeypatch.setattr(cli, "MAX_LISTED", 15)
+        err = self.refused(capsys, "enumerate", "-d", "6", "-n", "11")
+        assert err == "error: the d=6 n=11 slice has at least 2^4 members, more than the 15 a listing may hold; use --count-only\n"
         monkeypatch.setattr(cli, "MAX_LISTED", 4)
         err = self.refused(capsys, "enumerate", "-d", "5", "-n", "7")
-        assert err == "error: the d=5 n=7 slice has 84 members, more than the 4 a listing may hold; use --count-only\n"
-
-        def no_count(d, n):
-            raise AssertionError("counted a slice the bound refuses")
-
-        monkeypatch.setattr(cli, "count_basis", no_count)
-        monkeypatch.setattr(cli, "MAX_LISTED", 3)
-        err = self.refused(capsys, "enumerate", "-d", "5", "-n", "7")
-        assert "(at least one per descent composition); use --count-only" in err
-
-    def test_count_past_the_digit_limit_refused_by_its_size(self, capsys):
-        # The count, about 1.1 * 10^4516, has more digits than the 4,300 the
-        # interpreter turns into text: the refusal gives a power of ten the
-        # count passes instead.
-        for fmt in ("plain", "json"):
-            err = self.refused(capsys, "enumerate", "-d", "15000", "-n", "15002", "--format", fmt)
-            assert err == (
-                "error: the d=15000 n=15002 slice has more than 10^4515 members, "
-                "more than the 1000000 a listing may hold; use --count-only\n"
-            )
+        assert err == "error: a d=5 member has 7 values, more than the 4 a request may hold\n"
+        assert counted == []
 
 
 class TestScenario:

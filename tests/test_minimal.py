@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -234,6 +235,41 @@ class TestCountBasis:
         for d in range(1, 61):
             for n in [*range(d + 1), 2 * d + 1, 2 * d + 2]:
                 assert count_basis(d, n) == 0, (d, n)
+
+
+def with_new_maximum(p: Permutation) -> Permutation:
+    # A member of B_d with n+1 put in front is a member of B_{d+1}.  By the
+    # local characterization, minimality is a check of each ascent on its
+    # window of four values around it.  Every ascent of p keeps the same
+    # window, one position to the right, and the new first pair, n+1 before
+    # anything, descends: one descent more and no ascent more.  So slice
+    # counts never fall along a diagonal n - d = j, which starts at the
+    # size-2j slice with Cat(j) >= 2^(j-1) members; the CLI refuses listings
+    # on that floor.
+    return Permutation((p.n + 1, *p.values))
+
+
+class TestDiagonalFloor:
+    def test_new_maximum_keeps_members_minimal(self):
+        # Checked by the removal oracle, not the window scan: every member
+        # with d <= 6, and 2,000 of each d = 7 slice (all of them would take
+        # the oracle about 14 s).
+        rng = random.Random(7)
+        for d in range(1, 8):
+            for n in range(d + 1, 2 * d + 1):
+                members = enumerate_basis(d, n).members
+                if d == 7 and len(members) > 2000:
+                    members = rng.sample(members, 2000)
+                for p in members:
+                    assert is_minimal_oracle(with_new_maximum(p), d + 1), p
+
+    def test_counts_never_fall_along_a_diagonal(self):
+        tables = [count_table(d) for d in range(1, 32)]
+        for row, above in zip(tables, tables[1:]):
+            for n, count in row.items():
+                assert above[n + 1] >= count, n
+        for j in range(1, 61):
+            assert catalan(j) >= 2 ** (j - 1)
 
 
 class TestDiamondTypes:
