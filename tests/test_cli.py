@@ -445,14 +445,6 @@ class TestRefusals:
             ["enumerate", "-d", "500000", "-n", "999999", "--format", "json"],
         ):
             assert "--count-only" in self.refused(capsys, *argv)
-        # Its count, about 1.1 * 10^4516, passes the digits the interpreter
-        # turns into text; the walk stops at the d=18 member of its diagonal.
-        for fmt in ("plain", "json"):
-            err = self.refused(capsys, "enumerate", "-d", "15000", "-n", "15002", "--format", fmt)
-            assert err == (
-                "error: the d=15000 n=15002 slice has at least 1048194 members, "
-                "more than the 1000000 a listing may hold; use --count-only\n"
-            )
         # Members of 2 * 10^9 values are refused before the slice is counted.
         err = self.refused(capsys, "enumerate", "-d", "1000000000", "-n", "2000000000")
         assert err == "error: a d=1000000000 member has 2000000000 values, more than the 1000000 a request may hold\n"
@@ -529,6 +521,17 @@ class TestRefusals:
         err = self.refused(capsys, "enumerate", "-d", "5", "-n", "7")
         assert err == "error: a d=5 member has 7 values, more than the 4 a request may hold\n"
         assert counted == []
+
+    def test_count_past_the_digit_limit_refused_by_its_size(self, capsys):
+        # The count, about 1.1 * 10^4516, has more digits than the 4,300 the
+        # interpreter turns into text; the refusal never computes it: the
+        # walk along its diagonal stops at the d=18 slice.
+        for fmt in ("plain", "json"):
+            err = self.refused(capsys, "enumerate", "-d", "15000", "-n", "15002", "--format", fmt)
+            assert err == (
+                "error: the d=15000 n=15002 slice has at least 1048194 members, "
+                "more than the 1000000 a listing may hold; use --count-only\n"
+            )
 
 
 class TestScenario:
