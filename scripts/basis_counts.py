@@ -53,6 +53,8 @@ def main() -> None:
     )
     parser.add_argument("--bfile", action="store_true", help="emit bare 'd count' lines")
     args = parser.parse_args()
+    if args.bfile and args.series is None:
+        parser.error("--bfile applies only to --series")
     if args.series is None:
         print_table(args.max_d)
     else:

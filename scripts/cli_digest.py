@@ -19,7 +19,8 @@ slice in every format, alone, with ``--limit 3`` and with ``--count-only``;
 trees to depth 8; both phi maps forward and inverted for every non-interval
 subset with d <= 6 and for one subset of each phi2 type A-E at d = 200;
 stats, check, scenario, dyck, evolve, poset, stats on two Dyck members of
-sizes 1,000 and 10,000 (501 and 5,001 runs), counts at sizes d+3 and 2d-2
+sizes 1,000 and 10,000 (501 and 5,001 runs), ``bijection dyck`` on those two
+paths and members both ways, counts at sizes d+3 and 2d-2
 for d = 10, 20, 30 and 40, counts past 4,300 digits, the json listing of the
 (13, 15) slice (32,556 members, two text chunks) whole and cut at 20,000,
 and the refusals.  Refusals that checkouts older than the diagonal listing
@@ -105,6 +106,7 @@ def corpus(max_d: int) -> list[list[str]]:
     for steps in MANY_RUNS:
         perm = str(dyck_to_perm(DyckPath(steps)))
         out += [["stats", perm, "--format", fmt] for fmt in ("plain", "csv")]
+        out += [["bijection", "dyck", arg, "--format", fmt] for arg in (steps, perm) for fmt in ("plain", "json")]
     for perm in PERMS:
         out += [["stats", perm, "--format", fmt] for fmt in ("plain", "json", "csv")]
         out += [["stats", perm, "--grid"], ["scenario", perm], ["scenario", perm, "--format", "json"]]

@@ -88,12 +88,10 @@ def dyck_to_perm(path: DyckPath) -> Permutation:
     >>> str(dyck_to_perm(DyckPath("UUDUUDDDUD")))
     '3 1 6 2 7 4 8 5 10 9'
     """
-    ups = [i for i, c in enumerate(path.steps, start=1) if c == "U"]
-    downs = [i for i, c in enumerate(path.steps, start=1) if c == "D"]
-    word: list[int] = []
-    for upper, lower in zip(downs, ups):
-        word.append(upper)
-        word.append(lower)
+    # The upper line (odd positions) takes the D steps, the lower line the U steps.
+    word = [0] * len(path.steps)
+    word[0::2] = [i for i, c in enumerate(path.steps, start=1) if c == "D"]
+    word[1::2] = [i for i, c in enumerate(path.steps, start=1) if c == "U"]
     return Permutation._trusted(tuple(word))
 
 
@@ -194,9 +192,10 @@ class NonIntervalSubset:
             raise ValueError("d must be at least 1")
         if not self.elements:
             raise ValueError("subset must be non-empty")
-        if any(not 1 <= v <= self.d + 1 for v in self.elements):
+        lo, hi = min(self.elements), max(self.elements)
+        if lo < 1 or hi > self.d + 1:
             raise ValueError(f"elements must lie in 1..{self.d + 1}")
-        if max(self.elements) - min(self.elements) + 1 == len(self.elements):
+        if hi - lo + 1 == len(self.elements):
             raise ValueError(f"{sorted(self.elements)} is an interval")
 
     @property

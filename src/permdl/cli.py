@@ -387,15 +387,15 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
         return 0
 
     # Depth first, children in order, from a stack of (node, indent); the
-    # values of the nodes, at most 2 * depth, are named from one table.
-    names = [str(v) for v in range(2 * args.depth + 1)]
+    # values of the nodes are at most 2 * depth.
+    render = _word_renderer(2 * args.depth)
     deepest = "  " * (args.depth - 1)
 
     def walk() -> Iterator[str]:
         stack = [(eco_root(), "")]
         while stack:
             node, indent = stack.pop()
-            yield indent + " ".join(map(names.__getitem__, node.perm.values))
+            yield indent + render(node.perm.values)
             if indent != deepest:
                 stack += [(kid, indent + "  ") for kid in reversed(eco_children(node))]
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from .perm import Permutation, descent_count, identity, maximal_runs
 

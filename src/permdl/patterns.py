@@ -7,8 +7,9 @@ as one-based index tuples into the host.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .perm import Permutation, parse_permutation
 
@@ -77,12 +78,7 @@ def occurrences(
     """
     if limit is not None and limit < 1:
         raise ValueError("limit must be at least 1")
-    out: list[Occurrence] = []
-    for indices in _occurrence_indices(pattern.values, host.values):
-        out.append(Occurrence(indices))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return list(itertools.islice(map(Occurrence, _occurrence_indices(pattern.values, host.values)), limit))
 
 
 @dataclass(frozen=True)
@@ -93,13 +89,12 @@ class PatternBasis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patterns", frozenset(self.patterns))
+        # Distinct permutations of one size never involve each other, so only
+        # smaller-into-larger pairs are tried.
         members = sorted(self.patterns, key=lambda p: (p.n, p.values))
-        for a in members:
-            for b in members:
-                if a is not b and involves(a, b):
-                    raise ValueError(
-                        f"not an antichain: {a} occurs in {b}"
-                    )
+        for a, b in itertools.permutations(members, 2):
+            if a.n < b.n and involves(a, b):
+                raise ValueError(f"not an antichain: {a} occurs in {b}")
 
 
 def avoids_basis(host: Permutation, basis: PatternBasis) -> bool:

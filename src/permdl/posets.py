@@ -116,6 +116,8 @@ class DiamondPoset:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "covers", frozenset(self.covers))
+        if self.size < 1:
+            raise ValueError("a poset needs at least one node")
         for lo, up in self.covers:
             if not (1 <= lo <= self.size and 1 <= up <= self.size) or lo == up:
                 raise ValueError(f"cover ({lo}, {up}) out of range")
@@ -267,8 +269,8 @@ def _digits(words: list[int], n: int) -> array:
 def _unpack(words: list[int], n: int) -> Iterator[tuple[int, ...]]:
     # The packed words over 1..n as tuples of values in position order.
     # Nothing is sized from n unless there are words to unpack.
-    if not words or n < 1:
-        return iter([()] * len(words))
+    if not words:
+        return iter(())
     digits = _digits(words, n)
     del digits[n :: n + 1]
     return zip(*[iter(digits)] * n)

@@ -11,11 +11,14 @@ from permdl import (
     all_permutations,
     avoids_basis,
     descents,
+    enumerate_basis,
     involves,
     load_basis,
     occurrences,
     parse_basis,
     parse_permutation,
+    random_evolution,
+    reachable_within,
 )
 
 from helpers import subsequence_patterns
@@ -104,6 +107,34 @@ class TestPatternBasis:
         for n in range(1, 7):
             for p in all_permutations(n):
                 assert avoids_basis(p, basis) == (descents(p).count <= 1)
+
+
+def basis_for_steps(p):
+    # B_{2^p}: the minimal permutations with 2^p descents, of sizes 2^p+1..2^(p+1).
+    d = 1 << p
+    return PatternBasis(frozenset(m for n in range(d + 1, 2 * d + 1) for m in enumerate_basis(d, n).members))
+
+
+class TestBasisTheorem:
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_avoidance_is_reachability(self, p):
+        # The paper's equivalence on seeded hosts of p steps (all reachable)
+        # and p+1 steps (mostly not), sizes 6..15, and on the basis members:
+        # random hosts almost never involve a size-2^(p+1) member alone.
+        basis = basis_for_steps(p)
+        hosts = [random_evolution(6 + seed % 10, steps, seed).end for steps in (p, p + 1) for seed in range(80)]
+        seen = set()
+        for host in [*hosts, *basis.patterns]:
+            expected = reachable_within(host, p)
+            assert avoids_basis(host, basis) == expected, host
+            seen.add(expected)
+        assert seen == {True, False}
+
+    def test_antichain_message_names_the_pair(self):
+        patterns = basis_for_steps(2).patterns | {parse_permutation("2 1 4 3 6 5")}
+        with pytest.raises(ValueError) as excinfo:
+            PatternBasis(patterns)
+        assert str(excinfo.value) == "not an antichain: 2 1 4 3 6 5 occurs in 2 1 4 3 7 6 5"
 
 
 class TestBasisFiles:

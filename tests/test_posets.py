@@ -79,6 +79,9 @@ class TestDiamondPoset:
             DiamondPoset(2, frozenset({(1, 3)}))
         with pytest.raises(ValueError):
             DiamondPoset(2, frozenset({(1, 1)}))
+        for size in (0, -2):
+            with pytest.raises(ValueError, match="a poset needs at least one node"):
+                DiamondPoset(size, frozenset())
 
     def test_cycle_detection(self):
         with pytest.raises(ValueError):
@@ -177,4 +180,3 @@ class TestPackedWords:
 
     def test_empty(self):
         assert list(_unpack([], 10**9)) == []
-        assert list(_unpack([0], 0)) == [()]

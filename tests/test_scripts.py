@@ -2,7 +2,8 @@
 
 Each script runs in its own interpreter with ``src`` on ``PYTHONPATH``, as a
 user would run it from a checkout, and must exit 0 with one line per trial or
-table row.  ``cli_digest.py`` digests a small corpus and compares it with
+table row, and ``basis_counts.py`` refuses ``--bfile`` without ``--series``.
+``cli_digest.py`` digests a small corpus and compares it with
 its own digests.  ``regen_goldens.py`` is left out: it rewrites
 ``tests/golden``.
 """
@@ -35,6 +36,16 @@ def test_script_runs(script, args, lines):
     )
     assert out.returncode == 0, out.stderr
     assert len(out.stdout.splitlines()) == lines
+
+
+def test_basis_counts_refuses_bfile_without_series():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "basis_counts.py"), "--max-d", "3", "--bfile"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr.splitlines()[-1].endswith("error: --bfile applies only to --series")
 
 
 def test_cli_digest_compares_runs(tmp_path):
