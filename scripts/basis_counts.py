@@ -32,8 +32,7 @@ def print_table(max_d: int) -> None:
 
 def print_series(offset: int, max_d: int, bfile: bool) -> None:
     # counts at size d + offset, one value per d where that size is feasible
-    start = max(1, offset - 1) if offset <= 1 else offset
-    for d in range(max(1, start), max_d + 1):
+    for d in range(1, max_d + 1):
         n = d + offset
         if not d + 1 <= n <= 2 * d:
             continue

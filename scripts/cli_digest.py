@@ -18,6 +18,8 @@ The corpus holds every ``enumerate -d 0..D`` table and every ``-n 0..2d+2``
 slice in every format, alone, with ``--limit 3`` and with ``--count-only``;
 trees to depth 8; both phi maps forward and inverted for every non-interval
 subset with d <= 6 and for one subset of each phi2 type A-E at d = 200;
+``poset --composition`` for every composition with d <= 6 and
+``poset --ladder 1000``, plain and json; empty subsets for both phi maps;
 stats, check, scenario, dyck, evolve, poset, stats on two Dyck members of
 sizes 1,000 and 10,000 (501 and 5,001 runs), ``bijection dyck`` on those two
 paths and members both ways, counts at sizes d+3 and 2d-2
@@ -28,8 +30,9 @@ floor take about 13 s or forever on (``enumerate -d 500000 -n 1000000``,
 ``-d 500000 -n 999999``, ``-d 1000000000 -n 2000000000``) are left out, so
 the corpus runs on those checkouts too; ``-d 182 -n 186`` (about 5 s there)
 is in.
-``--max-d`` sets D (default 9) and bounds the trees and the small phi
-subsets too.  The full corpus takes about 10 s (Python 3.11, 2-core VM).
+``--max-d`` sets D (default 9) and bounds the trees, the small phi
+subsets and the compositions too.  The full corpus takes about 10 s
+(Python 3.11, 2-core VM).
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import io
 import json
 import sys
 
-from permdl import DyckPath, NonIntervalSubset, cli, dyck_to_perm, non_interval_subsets, phi1, phi2
+from permdl import DyckPath, NonIntervalSubset, cli, compositions, dyck_to_perm, non_interval_subsets, phi1, phi2
 
 PERMS = ["6 9 8 4 1 3 7 2 5", "3 1 4 2", "1 2 3", "2 1", "5 4 3 2 1", "1 3 2 0", "1 1"]
 
@@ -111,11 +114,15 @@ def corpus(max_d: int) -> list[list[str]]:
         out += [["stats", perm, "--format", fmt] for fmt in ("plain", "json", "csv")]
         out += [["stats", perm, "--grid"], ["scenario", perm], ["scenario", perm, "--format", "json"]]
         out += [["check", perm, "-d", str(d), "--format", fmt] for d in (1, 2, 3) for fmt in ("plain", "json")]
-    for arg in ("UUDD", "UDUD", "UDDU", "2 1 4 3", "4 3 2 1"):
+    for arg in ("UUDD", "UDUD", "UDDU", "2 1 4 3", "4 3 2 1", "3 2 1", "1 2 3 4"):
         out += [["bijection", "dyck", arg, "--format", fmt] for fmt in ("plain", "json")]
     for n, steps, seed in ((8, 3, 0), (12, 5, 7), (0, 2, 1), (-1, 2, 1), (3, -1, 1)):
         out += [["evolve", "-n", str(n), "--steps", str(steps), "--seed", str(seed), "--format", fmt] for fmt in ("plain", "json")]
-    for shape in (["--ladder", "4"], ["--composition", "3,3,1,7,2"], ["--composition", "2,0"], ["--ladder", "3", "--composition", "1"], []):
+    shapes = [["--ladder", "4"], ["--ladder", "1000"], ["--composition", "3,3,1,7,2"], ["--composition", "2,0"], ["--ladder", "3", "--composition", "1"], []]
+    for d in range(1, min(max_d, 6) + 1):
+        for n in range(d + 1, 2 * d + 1):
+            shapes += [["--composition", ",".join(map(str, c.run_lengths))] for c in compositions(d, n)]
+    for shape in shapes:
         out += [["poset", *shape, "--format", fmt] for fmt in ("plain", "json")]
     for d in range(0, max_d + 1):
         for size in [None, *range(0, 2 * d + 3)]:
@@ -136,6 +143,7 @@ def corpus(max_d: int) -> list[list[str]]:
                 out.append(["bijection", name, "--invert", str(perm), "--format", fmt])
     for name in ("phi1", "phi2"):
         out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
+    out += [["bijection", "phi1", "", "-d", "3"], ["bijection", "phi2", " ", "-d", "3"]]
     return out + DIAGONAL_COUNTS + JSON_LISTINGS + REFUSALS + LARGE_COUNTS
 
 

@@ -95,17 +95,22 @@ def dyck_to_perm(path: DyckPath) -> Permutation:
     return Permutation._trusted(tuple(word))
 
 
+def _check_ladder_member(p: Permutation) -> None:
+    # The one input check of the size-2d slice: minimal with d = n/2 descents.
+    if p.n % 2:
+        raise ValueError("ladder members have even size")
+    d = p.n // 2
+    if not is_minimal(p, d).is_minimal:
+        raise ValueError(f"{p} is not minimal with {d} descents")
+
+
 def perm_to_dyck(p: Permutation) -> DyckPath:
     """Inverse of ``dyck_to_perm``; rejects anything but a size-2d minimal member.
 
     >>> perm_to_dyck(Permutation((3, 1, 6, 2, 7, 4, 8, 5, 10, 9))).steps
     'UUDUUDDDUD'
     """
-    if p.n % 2:
-        raise ValueError("ladder members have even size")
-    d = p.n // 2
-    if not is_minimal(p, d).is_minimal:
-        raise ValueError(f"{p} is not minimal with {d} descents")
+    _check_ladder_member(p)
     lower = set(p.values[1::2])
     return DyckPath("".join("U" if j in lower else "D" for j in range(1, p.n + 1)))
 
@@ -121,9 +126,7 @@ class EcoNode:
     perm: Permutation
 
     def __post_init__(self) -> None:
-        n = self.perm.n
-        if n % 2 or not is_minimal(self.perm, n // 2).is_minimal:
-            raise ValueError(f"{self.perm} is not a size-2d minimal permutation")
+        _check_ladder_member(self.perm)
 
     @classmethod
     def _trusted(cls, perm: Permutation) -> EcoNode:

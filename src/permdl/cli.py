@@ -26,6 +26,7 @@ refused requests.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -154,17 +155,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
     report = is_minimal(p, args.descents)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "minimal": report.is_minimal,
-                    "expected_descents": args.descents,
-                    "descent_count": report.descent_count,
-                    "bad_ascent": report.bad_ascent,
-                    "removable_position": report.removable_position,
-                }
-            )
-        )
+        fields = dataclasses.asdict(report)
+        print(json.dumps({"minimal": fields.pop("is_minimal"), "expected_descents": args.descents, **fields}))
         return 0 if report.is_minimal else 1
     if report.is_minimal:
         print(f"minimal with {args.descents} descents")
@@ -210,8 +202,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             elif args.format == "csv":
                 _emit(["n,count"] + [f"{size},{c}" for size, c in counts.items()])
             elif args.format == "json" and n is None:
-                table = {str(size): c for size, c in counts.items()}
-                print(json.dumps({"d": d, "counts": table, "total": sum(counts.values())}))
+                print(json.dumps({"d": d, "counts": counts, "total": sum(counts.values())}))
             elif args.format == "json":
                 print(json.dumps({"d": d, "n": n, "count": counts[n]}))
             elif n is None:
@@ -324,10 +315,7 @@ def cmd_bijection_dyck(args: argparse.Namespace) -> int:
 def _resolve_subset(args: argparse.Namespace) -> NonIntervalSubset:
     if args.descents is None:
         raise ValueError("-d is required to interpret the subset")
-    values = _integers(args.arg)
-    if not values:
-        raise ValueError("empty subset")
-    subset = NonIntervalSubset(args.descents, frozenset(values))
+    subset = NonIntervalSubset(args.descents, frozenset(_integers(args.arg)))
     _refuse_over(subset.d + 2, f"a d={subset.d} member has {subset.d + 2} values")
     return subset
 
@@ -345,14 +333,9 @@ def cmd_bijection_phi(args: argparse.Namespace) -> int:
         perm, cls = phi2(subset) if phi2_named else (phi1(subset), None)
     payload = {"d": subset.d, "subset": sorted(subset.elements), "permutation": list(perm.values)}
     if cls is not None:
-        payload["type"] = cls.type_tag
-        payload["diamond"] = {
-            "ascent_position": cls.ascent_position,
-            "left": cls.left,
-            "bottom": cls.bottom,
-            "top": cls.top,
-            "right": cls.right,
-        }
+        diamond = dataclasses.asdict(cls)
+        payload["type"] = diamond.pop("type_tag")
+        payload["diamond"] = diamond
     if args.format == "json":
         print(json.dumps(payload))
     elif args.invert:

@@ -79,12 +79,7 @@ class DescentComposition:
 
     def ascent_positions(self) -> tuple[int, ...]:
         """One-based positions of the ascents separating consecutive blocks."""
-        out = []
-        pos = 0
-        for b in self.run_lengths[:-1]:
-            pos += b + 1
-            out.append(pos)
-        return tuple(out)
+        return tuple(itertools.accumulate(b + 1 for b in self.run_lengths[:-1]))
 
 
 def compositions(d: int, n: int) -> list[DescentComposition]:
@@ -153,17 +148,11 @@ class DiamondPoset:
 
 def build_poset(composition: DescentComposition) -> DiamondPoset:
     """Shape poset of the minimal permutations with the given composition."""
-    covers: set[tuple[int, int]] = set()
-    pos = 1
-    blocks = composition.run_lengths
-    for j, b in enumerate(blocks):
-        for p in range(pos, pos + b):
-            covers.add((p + 1, p))
-        if j + 1 < len(blocks):
-            i = pos + b  # the ascent position at the end of this block
-            covers.add((i, i + 2))
-            covers.add((i - 1, i + 1))
-        pos += b + 1
+    # p+1 sits below p unless p is an ascent i: then i is below i+2, i-1 below i+1.
+    ascents = composition.ascent_positions()
+    at_ascent = set(ascents)
+    covers = {(p + 1, p) for p in range(1, composition.n) if p not in at_ascent}
+    covers.update(pair for i in ascents for pair in ((i, i + 2), (i - 1, i + 1)))
     return DiamondPoset._trusted(composition.n, frozenset(covers))
 
 
@@ -192,6 +181,13 @@ def _digit_code(n: int) -> str:
     # Array type code of the digits of packed words over the values 1..n:
     # one, two or four bytes each.
     return "B" if n < 1 << 8 else "H" if n < 1 << 16 else "I"
+
+
+def _big_endian(digits: array) -> array:
+    # digits swapped in place between machine order and the packed words' big-endian.
+    if digits.itemsize > 1 and sys.byteorder == "little":
+        digits.byteswap()
+    return digits
 
 
 def _peel(poset: DiamondPoset, seed, grow):
@@ -244,10 +240,7 @@ def _slice_words(d: int, n: int) -> list[int]:
     # The size-(d+1) slice is the one word n..1, packed directly: its peel
     # does big-int work in n per layer, quadratic in all.
     if d >= 1 and n == d + 1:
-        digits = array(_digit_code(n), [*range(n, 0, -1), 0])
-        if digits.itemsize > 1 and sys.byteorder == "little":
-            digits.byteswap()
-        return [int.from_bytes(digits, "big")]
+        return [int.from_bytes(_big_endian(array(_digit_code(n), [*range(n, 0, -1), 0])), "big")]
     return _packed_labellings(map(build_poset, compositions(d, n)), n)
 
 
@@ -261,9 +254,7 @@ def _digits(words: list[int], n: int) -> array:
     # each word gives its values in position order, then its digit 0.
     digits = array(_digit_code(n))
     digits.frombytes(_word_bytes(words, (n + 1) * digits.itemsize))
-    if digits.itemsize > 1 and sys.byteorder == "little":
-        digits.byteswap()
-    return digits
+    return _big_endian(digits)
 
 
 def _unpack(words: list[int], n: int) -> Iterator[tuple[int, ...]]:

@@ -141,6 +141,10 @@ class TestEcoTree:
                 ]
                 assert [kid.perm.values for kid in eco_children(node)] == want
 
+    def test_depth_must_be_positive(self):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            generating_tree(0)
+
     def test_label_multisets_match_rule_expansion(self):
         levels = generating_tree(6)
         by_walk = [sorted(n.label for n in level) for level in levels]
@@ -173,6 +177,10 @@ class TestNonIntervalSubsets:
 
     def test_validation(self):
         NonIntervalSubset(3, frozenset({1, 3}))
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            next(non_interval_subsets(0))
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            count_non_interval_subsets(0)
         with pytest.raises(ValueError):
             NonIntervalSubset(3, frozenset({2, 3}))  # an interval
         with pytest.raises(ValueError):
@@ -324,6 +332,14 @@ class TestInputChecks:
                     assert d < 1 or not is_minimal_oracle(p, d)
                     expected = (not_member,) * 3
                 assert tuple(refusal(f, p) for f in (phi1_inverse, classify_s2, phi2_inverse)) == expected
+
+    @pytest.mark.parametrize("check", [perm_to_dyck, EcoNode])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("2 1 3", "ladder members have even size"), ("1 2 3 4", "1 2 3 4 is not minimal with 2 descents")],
+    )
+    def test_size_2d_checks_share_their_texts(self, check, text, message):
+        assert refusal(check, parse_permutation(text)) == message
 
     def test_one_minimality_scan_per_input(self, monkeypatch):
         scanned = []

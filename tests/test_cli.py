@@ -595,6 +595,10 @@ class TestEvolve:
         assert kept == [" ".join(map(str, k)) or "-" for k in walk["steps"]]
         assert replay_rendered_scenario(lines[3:], n) == walk["end"]
 
+    def test_json(self, capsys):
+        want = json.dumps(scenario_to_json(random_evolution(6, 3, 1))) + "\n"
+        assert run(capsys, "evolve", "-n", "6", "--steps", "3", "--seed", "1", "--format", "json") == (0, want, "")
+
     def test_deterministic(self, capsys):
         first = run(capsys, "evolve", "-n", "7", "--steps", "4", "--seed", "9")
         second = run(capsys, "evolve", "-n", "7", "--steps", "4", "--seed", "9")
@@ -681,6 +685,10 @@ class TestBijectionCommands:
         code, _, err = run(capsys, "bijection", "phi1", "-d", "3", "2,3")
         assert code == 2
 
+    @pytest.mark.parametrize("name, text", [("phi1", ""), ("phi2", " ")])
+    def test_empty_subset_rejected(self, capsys, name, text):
+        assert run(capsys, "bijection", name, text, "-d", "3") == (2, "", "error: subset must be non-empty\n")
+
     def test_tree(self, capsys):
         code, out, _ = run(capsys, "bijection", "tree", "--depth", "3")
         assert code == 0
@@ -695,6 +703,9 @@ class TestBijectionCommands:
             "    4 1 5 2 6 3\n"
             "level sizes: 1 2 5\n"
         )
+
+    def test_tree_depth_must_be_positive(self, capsys):
+        assert run(capsys, "bijection", "tree", "--depth", "0") == (2, "", "error: depth must be at least 1\n")
 
     def test_tree_json(self, capsys):
         code, out, _ = run(capsys, "bijection", "tree", "--depth", "2", "--format", "json")

@@ -193,6 +193,13 @@ class TestRandomEvolution:
         assert scenario.steps == ()
         assert scenario.end.values == (1, 2, 3, 4, 5)
 
+    @pytest.mark.parametrize(
+        "n, steps, message", [(0, 2, "size must be at least 1"), (5, -1, "steps must be at least 0")]
+    )
+    def test_refusals(self, n, steps, message):
+        with pytest.raises(ValueError, match=message):
+            random_evolution(n, steps, 1)
+
     def test_deterministic(self):
         a = random_evolution(7, 4, 123)
         b = random_evolution(7, 4, 123)
@@ -234,6 +241,7 @@ class TestScenarioJson:
             {"n": 3, "steps": 5, "end": [1, 2, 3]},
             {"n": 3, "steps": [[1]], "end": 5},
             {"n": 3, "steps": [5], "end": [1, 2, 3]},
+            {"n": 3, "steps": [[1]], "end": [2, 1]},
         ):
             with pytest.raises(ValueError):
                 scenario_from_json(data)

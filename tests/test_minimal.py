@@ -115,6 +115,15 @@ class TestOracle:
         assert is_minimal_oracle(Permutation((3, 2, 1)), 2)
         assert not is_minimal_oracle(Permutation((1, 2)), 1)
 
+    @pytest.mark.parametrize(
+        "values, d, message",
+        [((2, 1), 0, "d must be at least 1"), ((1,), 1, "oracle needs size at least 2")],
+        ids=["d=0", "size 1"],
+    )
+    def test_refusals(self, values, d, message):
+        with pytest.raises(ValueError, match=message):
+            is_minimal_oracle(Permutation(values), d)
+
     def test_removals_from_minimal_drop_exactly_one(self):
         for d, n in [(2, 4), (3, 5), (3, 6), (4, 6)]:
             for p in enumerate_basis(d, n).members:
@@ -154,11 +163,18 @@ class TestEnumerate:
                 assert p.values[-2] == 2 * d
 
     def test_routes_agree(self):
+        # Sizes outside d+1..2d are empty slices on both routes.
         for d in range(1, 9):
-            for n in range(d + 1, min(2 * d, 9) + 1):
+            for n in range(d, min(2 * d + 1, 9) + 1):
                 brute = enumerate_basis_brute(d, n)
                 comp = enumerate_basis(d, n)
                 assert [p.values for p in brute.members] == [p.values for p in comp.members]
+        assert enumerate_basis_brute(2, 5) == BasisSlice(2, 5, ())
+
+    @pytest.mark.parametrize("route", [enumerate_basis, enumerate_basis_brute])
+    def test_rejects_bad_d(self, route):
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            route(0, 1)
 
     def test_frozen_count_tables(self):
         assert [count_basis(4, n) for n in range(5, 9)] == [1, 32, 84, 14]
@@ -208,6 +224,11 @@ class TestCountBasis:
         for d in (0, -1):
             with pytest.raises(ValueError):
                 count_table(d)
+
+    def test_count_rejects_bad_d(self):
+        for d, n in ((0, 1), (0, 0), (-1, 3)):
+            with pytest.raises(ValueError, match="d must be at least 1"):
+                count_basis(d, n)
 
     def test_closed_forms_to_d_60(self):
         # count_basis answers these sizes in closed form; the scan is the oracle.
@@ -277,6 +298,9 @@ class TestDiamondTypes:
         assert count_by_diamond_type(2) == (1, 1)
         # 2143 is its own diamond of type 2143; 3142 likewise of type 3142
         assert standardize((2, 1, 4, 3)).values == (2, 1, 4, 3)
+        # The size-3 slice is the one word 3 2 1, which has no ascent.
+        with pytest.raises(ValueError, match=r"the size-\(d\+2\) slice needs d >= 2"):
+            count_by_diamond_type(1)
 
     def test_closed_forms(self):
         for d in range(2, 13):

@@ -2,7 +2,8 @@
 
 Each script runs in its own interpreter with ``src`` on ``PYTHONPATH``, as a
 user would run it from a checkout, and must exit 0 with one line per trial or
-table row, and ``basis_counts.py`` refuses ``--bfile`` without ``--series``.
+table row, and ``basis_counts.py`` refuses ``--bfile`` without ``--series``
+and prints each ``--series`` line from ``count_basis``.
 ``cli_digest.py`` digests a small corpus and compares it with
 its own digests.  ``regen_goldens.py`` is left out: it rewrites
 ``tests/golden``.
@@ -15,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from permdl import count_basis
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,6 +49,17 @@ def test_basis_counts_refuses_bfile_without_series():
     )
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr.splitlines()[-1].endswith("error: --bfile applies only to --series")
+
+
+def test_basis_counts_series_matches_count_basis():
+    # Offset 3 is feasible from d = 3 on, where size d+3 is at most 2d.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "basis_counts.py"), "--series", "3", "--max-d", "10"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"d={d} size={d + 3}: {count_basis(d, d + 3)}" for d in range(3, 11)]
 
 
 def test_cli_digest_compares_runs(tmp_path):
