@@ -9,81 +9,11 @@ shapes as posets, and carries the bijections tying the extreme slices to
 Dyck paths and to non-interval subsets.
 """
 
-from .bijections import (
-    DyckPath,
-    EcoNode,
-    NonIntervalSubset,
-    S2Classification,
-    classify_s2,
-    count_non_interval_subsets,
-    dyck_to_perm,
-    eco_children,
-    eco_root,
-    generating_tree,
-    non_interval_subsets,
-    perm_to_dyck,
-    phi1,
-    phi1_inverse,
-    phi2,
-    phi2_inverse,
-)
-from .duploss import (
-    DuplicationStep,
-    Scenario,
-    SplitMix64,
-    apply_step,
-    min_steps,
-    random_evolution,
-    reachable_within,
-    replay,
-    scenario_from_json,
-    scenario_to_json,
-    synthesize_scenario,
-)
-from .minimal import (
-    BasisSlice,
-    MinimalityReport,
-    count_basis,
-    count_by_diamond_type,
-    count_table,
-    enumerate_basis,
-    enumerate_basis_brute,
-    is_minimal,
-    is_minimal_oracle,
-    slice_to_text,
-)
-from .patterns import (
-    Occurrence,
-    PatternBasis,
-    avoids_basis,
-    involves,
-    load_basis,
-    occurrences,
-    parse_basis,
-)
-from .perm import (
-    DescentSet,
-    Permutation,
-    RunDecomposition,
-    all_permutations,
-    descent_count,
-    descents,
-    identity,
-    maximal_runs,
-    parse_permutation,
-    remove_element,
-    run_count,
-    standardize,
-)
-from .posets import (
-    DescentComposition,
-    DiamondPoset,
-    authorized_labellings,
-    build_poset,
-    compositions,
-    count_labellings,
-    ladder,
-    poset_edges,
-)
+from .bijections import *
+from .duploss import *
+from .minimal import *
+from .patterns import *
+from .perm import *
+from .posets import *
 
 __version__ = "0.1.0"

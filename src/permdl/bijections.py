@@ -77,10 +77,6 @@ class DyckPath:
         if height != 0:
             raise ValueError("path does not return to the axis")
 
-    @property
-    def d(self) -> int:
-        return len(self.steps) // 2
-
 
 def dyck_to_perm(path: DyckPath) -> Permutation:
     """Ladder labelling read off a Dyck path.

@@ -85,15 +85,14 @@ def min_steps(p: Permutation) -> int:
     >>> min_steps(Permutation((1, 2, 3)))
     0
     """
-    runs = descent_count(p.values) + 1
-    return (runs - 1).bit_length()  # ceil(log2(runs)), 0 for the identity
+    return descent_count(p.values).bit_length()  # ceil(log2(descents + 1)), 0 for the identity
 
 
 def reachable_within(p: Permutation, budget: int) -> bool:
     """True when p can be produced from the identity in at most ``budget`` steps."""
     if budget < 0:
         raise ValueError("budget must be at least 0")
-    return descent_count(p.values) <= (1 << budget) - 1
+    return min_steps(p) <= budget
 
 
 @dataclass(frozen=True)

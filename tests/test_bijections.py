@@ -181,6 +181,8 @@ class TestNonIntervalSubsets:
             next(non_interval_subsets(0))
         with pytest.raises(ValueError, match="d must be at least 1"):
             count_non_interval_subsets(0)
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            NonIntervalSubset(0, frozenset({1, 3}))
         with pytest.raises(ValueError):
             NonIntervalSubset(3, frozenset({2, 3}))  # an interval
         with pytest.raises(ValueError):

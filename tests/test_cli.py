@@ -269,11 +269,18 @@ class TestEnumerate:
         assert run(capsys, "enumerate", "-d", "3", "--format", "bfile") == (2, "", "error: output failed\n")
         assert sys.get_int_max_str_digits() == limit
 
-    def test_large_table_from_one_scan(self, capsys):
-        # One scan over lengths 2..80 gives all 40 sizes.
-        start = time.perf_counter()
+    def test_large_table_from_one_scan(self, capsys, monkeypatch):
+        # One scan over lengths 2..80 gives all 40 sizes: the table makes a
+        # single untargeted call of the rank scan, not one per size.
+        scan, calls = permdl.minimal._rank_scan, []
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(permdl.minimal, "_rank_scan", counted)
         code, out, _ = run(capsys, "enumerate", "-d", "40")
-        assert time.perf_counter() - start < 4.0
+        assert calls == [(40,)]
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "# d=40 sizes 41..80"

@@ -1,24 +1,12 @@
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import permdl.bijections
-import permdl.cli
-import permdl.duploss
-import permdl.minimal
-import permdl.patterns
-import permdl.perm
-import permdl.posets
+import permdl
 
-MODULES = [
-    permdl.perm,
-    permdl.patterns,
-    permdl.posets,
-    permdl.minimal,
-    permdl.duploss,
-    permdl.bijections,
-    permdl.cli,
-]
+MODULES = [importlib.import_module(f"permdl.{m.name}") for m in pkgutil.iter_modules(permdl.__path__)]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
