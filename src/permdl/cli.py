@@ -20,7 +20,9 @@ available through --count-only, and are printed in full however many digits
 they have.
 Exit codes: 0 for success or a true predicate, 1 for a false predicate
 (``check`` on a non-minimal permutation), 2 for usage or parse errors and
-refused requests.
+refused requests, and 141 (128 + SIGPIPE, what a shell reports for a
+process that signal ended) when the reader of stdout closes it early, as
+``head`` does; the rest of the output is dropped, without a traceback.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -482,10 +485,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.size is None or args.count_only:
             parser.error("--limit applies only to -n listings")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The signal module's recipe for SIGPIPE: what stdout still buffers
+        # goes to devnull when the interpreter flushes it on exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ it is kept as the oracle the tests and the golden files check the
 labelling route against.  ``count_basis`` counts a slice without listing
 it: since the window rules are local, it scans left to right over the
 relative ranks of the last two values, in time polynomial in n, and
-answers the sizes d+1, d+2, d+3, 2d-2, 2d-1 and 2d in closed form.
+answers the sizes d+1..d+6, 2d-2, 2d-1 and 2d in closed form.
 ``count_table`` runs the same scan once over lengths 2..2d and reads the
 count of every size d+1..2d off it, where a table of ``count_basis``
 calls would rescan every short prefix once per size.
@@ -222,6 +222,25 @@ def _rank_scan(d: int, n: int | None = None) -> dict[int, int]:
     return counts
 
 
+# The slices n = d + j, j = 1..6: count_basis(d, d + j) is the sum of
+# P_i(d) * i**d over i = 1..j, with polynomials P_i of degree 2(j - i).
+# Row j holds a common denominator den and, for each i, the coefficients
+# of den * P_i, lowest degree first.  scripts/derive_forms.py derives the
+# rows from _rank_scan, proves their form and prints them as here.
+_FEW_ASCENTS = (
+    (1, ((1,),)),
+    (1, ((-4, -3, -1), (4,))),
+    (2, ((2, 12, 10, 5, 1), (-56, -32, -8), (54,))),
+    (6, ((-24, 38, 3, -2, -8, -6, -1), (96, 384, 240, 84, 12), (-1620, -810, -162), (1536,))),
+    (24, ((-960, 848, -192, 60, 68, -62, -9, 6, 1), (-960, 2288, -144, -608, -416, -144, -16),
+          (5832, 19440, 10368, 2916, 324), (-79872, -36864, -6144), (75000,))),
+    (120, ((-51840, 49032, -19170, -4335, 8015, -1167, -889, 155, 45, -5, -1),
+           (-76800, 77440, -2240, -5760, -1920, -1320, 300, 200, 20),
+           (-51840, 176040, -34020, -56160, -27000, -6480, -540),
+           (491520, 1474560, 706560, 168960, 15360), (-6000000, -2625000, -375000), (5598720,))),
+)
+
+
 def count_basis(d: int, n: int) -> int:
     """Number of size-n minimal permutations with d descents.
 
@@ -237,23 +256,24 @@ def count_basis(d: int, n: int) -> int:
     reaches d descents before length n.  No member is materialized.  This
     is the scan of ``count_table`` stopped at n.
 
-    Six sizes have closed forms, answered without the scan, with
-    Cat(k) = C(2k, k)/(k+1):
+    The sizes d+1..d+6, 2d-2, 2d-1 and 2d are answered without the scan,
+    with Cat(k) = C(2k, k)/(k+1):
 
-    - n = d+1: one member, the decreasing word;
-    - n = d+2: 2**(d+2) - (d+1)(d+2) - 2;
-    - n = d+3: 3**(d+3) - 4(d**2 + 4d + 7) * 2**d
-      + (d**4 + 5d**3 + 10d**2 + 12d + 2)/2;
+    - n = d+j, j = 1..6: the sum of P_i(d) * i**d over i = 1..j, from
+      the table ``_FEW_ASCENTS``; d+1 is the decreasing word, and d+2 is
+      2**(d+2) - (d+1)(d+2) - 2;
     - n = 2d-2: Cat(d-1) * ((d+1) * 4**(d-1) - 2(2d**2 + 3d + 4) * 3**(d-3)) / (d+1);
     - n = 2d-1: 2**(d-2) * C(2d-1, d-2);
     - n = 2d: Cat(d).
 
-    The sizes d+2 and 2d are the paper's counts; the forms at d+3, 2d-2
-    and 2d-1 were guessed from exact counts and are checked, not proved.
-    The tests pin every form against the scan: d+1, d+2 and 2d for
-    d = 1..60, d+3 and 2d-2 for d = 3..40 and at 60, and 2d-1 for
-    d = 2..40.  The halving and the division by d+1 are exact.  Where two
-    sizes coincide, as d+3 = 2d at d = 3, their forms agree.
+    The sizes d+2 and 2d are the paper's counts.  The rows d+1..d+6 are
+    fitted to the scan by ``scripts/derive_forms.py``, which also proves
+    their shape; the forms at 2d-2 and 2d-1 were guessed from exact
+    counts and are checked, not proved.  The tests pin every form against
+    the scan: each row d+j for d = j..40 and at 60, 2d for d = 1..60,
+    2d-2 for d = 3..40 and at 60, and 2d-1 for d = 2..40.  The divisions
+    are exact.  Where two sizes coincide, as d+3 = 2d at d = 3, their
+    forms agree.
 
     >>> [count_basis(4, n) for n in range(5, 9)]
     [1, 32, 84, 14]
@@ -262,13 +282,9 @@ def count_basis(d: int, n: int) -> int:
         raise ValueError("d must be at least 1")
     if not d + 1 <= n <= 2 * d:
         return 0
-    if n == d + 1:
-        return 1
-    if n == d + 2:
-        return 2 ** (d + 2) - (d + 1) * (d + 2) - 2
-    if n == d + 3:
-        quartic = d**4 + 5 * d**3 + 10 * d * d + 12 * d + 2
-        return 3 ** (d + 3) - 4 * (d * d + 4 * d + 7) * 2**d + quartic // 2
+    if n - d <= len(_FEW_ASCENTS):
+        den, polys = _FEW_ASCENTS[n - d - 1]
+        return sum(i**d * sum(c * d**k for k, c in enumerate(q)) for i, q in enumerate(polys, 1)) // den
     if n == 2 * d - 2:
         catalan = comb(2 * d - 2, d - 1) // d
         return catalan * ((d + 1) * 4 ** (d - 1) - 2 * (2 * d * d + 3 * d + 4) * 3 ** (d - 3)) // (d + 1)

@@ -78,6 +78,50 @@ def composition_count(d: int, n: int) -> int:
     return sum(count_labellings(build_poset(c)) for c in compositions(d, n))
 
 
+# States of one block in ``block_count``: empty; one value, open; one value
+# that is its max2; two or more values, open; two or more values with only
+# the max to come; closed.
+EMPTY, ONE, ONE_MAX2, MANY, MANY_MAX2, CLOSED = range(6)
+
+
+def block_count(d: int, n: int) -> int:
+    """Size-n minimal permutations with d descents, as ordered set partitions.
+
+    A member is j = n - d decreasing blocks of at least two values each;
+    each pair of neighbours B, C satisfies min2(B) < max(C) and
+    min(B) < max2(C), with min2 the second smallest and max2 the second
+    largest value.  The values 1..n are handed out smallest first, each to
+    one block: a value becomes a block's max2 only once its left neighbour
+    holds a value, and its max only once the left neighbour holds two.
+    Independent of both the rank scan and the composition posets, and
+    exponential in j; keep j small.
+    """
+    j = n - d
+    if j < 1 or n > 2 * d:
+        return 0
+    moves = {
+        EMPTY: [(ONE, 0), (ONE_MAX2, 1)],
+        ONE: [(MANY, 0), (MANY_MAX2, 1)],
+        ONE_MAX2: [(CLOSED, 2)],
+        MANY: [(MANY, 0), (MANY_MAX2, 1)],
+        MANY_MAX2: [(CLOSED, 2)],
+        CLOSED: [],
+    }
+    held = {EMPTY: 0, ONE: 1, ONE_MAX2: 1, MANY: 2, MANY_MAX2: 2, CLOSED: 2}  # at least
+    ways = {(EMPTY,) * j: 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], int] = {}
+        for states, count in ways.items():
+            for t, state in enumerate(states):
+                left = held[states[t - 1]] if t else 2
+                for to, needs in moves[state]:
+                    if left >= needs:
+                        key = (*states[:t], to, *states[t + 1 :])
+                        nxt[key] = nxt.get(key, 0) + count
+        ways = nxt
+    return ways.get((CLOSED,) * j, 0)
+
+
 def diamond_split_by_posets(d: int) -> tuple[int, int]:
     """The size-(d+2) slice split by ascent shape, (2 1 4 3, 3 1 4 2).
 

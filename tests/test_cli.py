@@ -217,9 +217,9 @@ class TestEnumerate:
 
     def test_count_only_far_beyond_listing(self, capsys):
         # (30, 45) has 77.5 million descent compositions; (1200, 1201) one of
-        # 1201 elements.  The sizes d+1, d+2, d+3, 2d-2, 2d-1 and 2d are
-        # answered in closed form; a scan of (400, 403) or (300, 598) would
-        # take 20-50 s.  None may take long.
+        # 1201 elements.  The sizes d+1..d+6, 2d-2, 2d-1 and 2d are answered
+        # in closed form; a scan of (400, 403) or (300, 598) would take
+        # 20-50 s.  None may take long.
         for d, n, want in (
             (30, 45, count_basis(30, 45)),
             (1200, 1201, 1),
@@ -808,3 +808,22 @@ class TestParser:
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_closed_pipe_ends_without_a_traceback(self):
+        # Each reader closes its end before the command writes a byte, so a
+        # listing, a tree and even a table short enough to be written in one
+        # flush at the end all meet a closed pipe.
+        src = str(Path(permdl.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        argvs = [["enumerate", "-d", "6", "-n", "9"], ["bijection", "tree", "--depth", "10"], ["enumerate", "-d", "12"]]
+        procs = []
+        for argv in argvs:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "permdl.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+            )
+            proc.stdout.close()
+            procs.append(proc)
+        for argv, proc in zip(argvs, procs):
+            err = proc.stderr.read()
+            proc.stderr.close()
+            assert (proc.wait(timeout=60), err) == (141, b""), argv

@@ -23,9 +23,10 @@ from permdl import (
     slice_to_text,
     standardize,
 )
+from permdl import minimal
 from permdl.minimal import _rank_scan, _window_failure
 
-from helpers import composition_count, definition_minimal, diamond_split_by_posets
+from helpers import block_count, composition_count, definition_minimal, diamond_split_by_posets
 
 
 def closed_form_slice_count(d: int) -> int:
@@ -233,24 +234,49 @@ class TestCountBasis:
     def test_closed_forms_to_d_60(self):
         # count_basis answers these sizes in closed form; the scan is the oracle.
         for d in range(1, 61):
-            assert _rank_scan(d, d + 1)[d + 1] == count_basis(d, d + 1) == 1
-            assert _rank_scan(d, d + 2)[d + 2] == count_basis(d, d + 2) == closed_form_slice_count(d)
             if 2 <= d <= 40:  # scanning on to d = 60 would add about 2 s
                 want = 2 ** (d - 2) * comb(2 * d - 1, d - 2)
                 assert _rank_scan(d, 2 * d - 1)[2 * d - 1] == count_basis(d, 2 * d - 1) == want
             assert _rank_scan(d, 2 * d)[2 * d] == count_basis(d, 2 * d) == catalan(d)
 
-    # The d+3 and 2d-2 forms are guesses, so each is pinned against the
-    # scan on every d it answers up to 40, and at 60.
+    # Each row d+j of the table and the guessed 2d-2 form are pinned against
+    # the scan on every d they answer up to 40, and at 60.
     @pytest.mark.parametrize(
         "size, form",
-        [(lambda d: d + 3, guessed_d_plus_3), (lambda d: 2 * d - 2, guessed_2d_minus_2)],
-        ids=["d+3", "2d-2"],
+        [*((lambda d, j=j: d + j, None) for j in range(1, 7)), (lambda d: 2 * d - 2, guessed_2d_minus_2)],
+        ids=[*(f"d+{j}" for j in range(1, 7)), "2d-2"],
     )
     def test_guessed_forms_match_the_scan(self, size, form):
-        for d in [*range(3, 41), 60]:
+        for d in [*range(1, 41), 60]:
             n = size(d)
-            assert _rank_scan(d, n)[n] == count_basis(d, n) == form(d), d
+            if d < n <= 2 * d:
+                assert _rank_scan(d, n)[n] == count_basis(d, n), d
+                assert form is None or count_basis(d, n) == form(d), d
+
+    def test_table_rows_2_and_3_are_the_known_forms(self):
+        for d in range(3, 201):
+            assert count_basis(d, d + 1) == 1
+            assert count_basis(d, d + 2) == closed_form_slice_count(d)
+            assert count_basis(d, d + 3) == guessed_d_plus_3(d)
+
+    def test_table_rows_never_scan(self, monkeypatch):
+        # Far past what the scan reaches, and still never falling along a
+        # diagonal (see TestDiagonalFloor).
+        def refuse(d, n=None):
+            raise AssertionError(f"_rank_scan({d}, {n}) called")
+
+        monkeypatch.setattr(minimal, "_rank_scan", refuse)
+        below = [0] * 7
+        for d in range(1, 401):
+            for j in range(1, min(d, 6) + 1):
+                count = count_basis(d, d + j)
+                assert count >= max(below[j], 1), (d, j)
+                below[j] = count
+
+    def test_block_automaton_agrees(self):
+        for d in range(1, 13):
+            for n in range(d + 1, min(d + 4, 2 * d) + 1):
+                assert block_count(d, n) == count_basis(d, n), (d, n)
 
     def test_zero_outside_d_plus_1_to_2d(self):
         for d in range(1, 61):

@@ -4,11 +4,14 @@ Each script runs in its own interpreter with ``src`` on ``PYTHONPATH``, as a
 user would run it from a checkout, and must exit 0 with one line per trial or
 table row, and ``basis_counts.py`` refuses ``--bfile`` without ``--series``
 and prints each ``--series`` line from ``count_basis``.
+``derive_forms.py`` derives rows 1..4 of the closed-form table of
+``count_basis`` again and must print them as ``permdl.minimal`` holds them.
 ``cli_digest.py`` digests a small corpus and compares it with
 its own digests.  ``regen_goldens.py`` is left out: it rewrites
 ``tests/golden``.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -18,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from permdl import count_basis
+from permdl.minimal import _FEW_ASCENTS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,6 +64,21 @@ def test_basis_counts_series_matches_count_basis():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [f"d={d} size={d + 3}: {count_basis(d, d + 3)}" for d in range(3, 11)]
+
+
+def test_derive_forms_reproduces_the_table():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "derive_forms.py"), "--max-j", "4"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    name, _, literal = out.stdout.partition(" = ")
+    assert name == "_FEW_ASCENTS"
+    assert ast.literal_eval(literal) == _FEW_ASCENTS[:4]
+    # The rows are printed as the module lays them out.
+    source = (ROOT / "src" / "permdl" / "minimal.py").read_text()
+    assert out.stdout.removesuffix(")\n") in source
 
 
 def test_cli_digest_compares_runs(tmp_path):
