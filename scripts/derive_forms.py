@@ -44,8 +44,8 @@ reads the table it derives, only ``_rank_scan``.
 
 It prints the table in the form ``permdl.minimal`` holds it: per row, a
 common denominator and the integer coefficients of each P_i times it,
-lowest degree first.  The six rows take about 5 s (Python 3.11, 2-core
-VM), nearly all of it in the scans of row 6 up to d = 63.
+lowest degree first.  The six rows take about 6 s (Python 3.11, 2-core
+VM), most of it in row 6: its scans up to d = 63 and its exact solve.
 
 Examples:
     python scripts/derive_forms.py

@@ -824,6 +824,5 @@ class TestParser:
             proc.stdout.close()
             procs.append(proc)
         for argv, proc in zip(argvs, procs):
-            err = proc.stderr.read()
-            proc.stderr.close()
-            assert (proc.wait(timeout=60), err) == (141, b""), argv
+            _, err = proc.communicate(timeout=60)
+            assert (proc.returncode, err) == (141, b""), argv
