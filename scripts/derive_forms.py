@@ -38,13 +38,16 @@ fixed by U consecutive values at d >= 2j + 1 (the sequences d**k * i**d
 solve one linear recurrence of order U).  The script solves for them in
 exact fractions on the scanned counts at d = j .. j + U + 2, checks every
 scanned value from d = j up to U past 2j (at least 3 past the fit), and
-asserts that every coefficient above degree 2(j - i) is exactly 0.  The
-rows are then proved, not guessed.  It never calls ``count_basis``, which
-reads the table it derives, only ``_rank_scan``.
+asserts that every coefficient above degree 2(j - i) is exactly 0.  Given
+the degree bound, the rows are then exact, not guessed.  The bound rests
+on the argument above, which is written by hand and has not been
+machine-checked; the tests also pin every row against the scan for
+d = j..40 and at 60.  The script never calls ``count_basis``, which reads
+the table it derives, only ``_rank_scan``.
 
-It prints the table in the form ``permdl.minimal`` holds it: per row, a
-common denominator and the integer coefficients of each P_i times it,
-lowest degree first.  The six rows take about 6 s (Python 3.11, 2-core
+It prints the table as a Python literal equal to the one ``permdl.minimal``
+holds: per row, a common denominator and the integer coefficients of each
+P_i times it, lowest degree first.  The six rows take about 6 s (Python 3.11, 2-core
 VM), most of it in row 6: its scans up to d = 63 and its exact solve.
 
 Examples:
@@ -100,23 +103,6 @@ def derive_row(j: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return den, tuple(tuple(int(coeffs[i, k] * den) for k in range(2 * (j - i) + 1)) for i in range(1, j + 1))
 
 
-def row_lines(den: int, polys: tuple[tuple[int, ...], ...]) -> list[str]:
-    # One row as minimal.py lays it out: its polynomials run on past 100
-    # columns onto lines of their own, under the first.
-    head = f"    ({den}, ("
-    pieces = [f"{q!r}," for q in polys]
-    if len(pieces) > 1:
-        pieces[-1] = pieces[-1][:-1]
-    lines = [head + pieces[0]]
-    for piece in pieces[1:]:
-        if len(lines[-1]) + len(piece) > 98:
-            lines.append(" " * len(head) + piece)
-        else:
-            lines[-1] += " " + piece
-    lines[-1] += ")),"
-    return lines
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-j", type=int, default=6, help="derive rows j = 1..MAX_J (default 6)")
@@ -125,7 +111,7 @@ def main() -> None:
         parser.error("--max-j must be at least 1")
     print("_FEW_ASCENTS = (")
     for j in range(1, args.max_j + 1):
-        print(*row_lines(*derive_row(j)), sep="\n")
+        print(f"    {derive_row(j)!r},")
     print(")")
 
 

@@ -225,8 +225,8 @@ def _rank_scan(d: int, n: int | None = None) -> dict[int, int]:
 # The slices n = d + j, j = 1..6: count_basis(d, d + j) is the sum of
 # P_i(d) * i**d over i = 1..j, with polynomials P_i of degree 2(j - i).
 # Row j holds a common denominator den and, for each i, the coefficients
-# of den * P_i, lowest degree first.  scripts/derive_forms.py derives the
-# rows from _rank_scan, proves their form and prints them as here.
+# of den * P_i, lowest degree first.  scripts/derive_forms.py fits the rows
+# to _rank_scan under a degree bound argued by hand (not machine-checked).
 _FEW_ASCENTS = (
     (1, ((1,),)),
     (1, ((-4, -3, -1), (4,))),
@@ -267,11 +267,12 @@ def count_basis(d: int, n: int) -> int:
     - n = 2d: Cat(d).
 
     The sizes d+2 and 2d are the paper's counts.  The rows d+1..d+6 are
-    fitted to the scan by ``scripts/derive_forms.py``, which also proves
-    their shape; the forms at 2d-2 and 2d-1 were guessed from exact
-    counts and are checked, not proved.  The tests pin every form against
-    the scan: each row d+j for d = j..40 and at 60, 2d for d = 1..60,
-    2d-2 for d = 3..40 and at 60, and 2d-1 for d = 2..40.  The divisions
+    fitted to the scan by ``scripts/derive_forms.py`` under a degree bound
+    argued by hand in its docstring, not machine-checked; the forms at
+    2d-2 and 2d-1 were guessed from exact counts.  The tests pin every
+    form against the scan: each row d+j for d = j..40 and at 60 (d+1 and
+    d+2 for d = 1..60), 2d for d = 1..60, 2d-2 for d = 3..40 and at 60,
+    and 2d-1 for d = 2..40.  The divisions
     are exact.  Where two sizes coincide, as d+3 = 2d at d = 3, their
     forms agree.
 

@@ -234,24 +234,30 @@ class TestCountBasis:
     def test_closed_forms_to_d_60(self):
         # count_basis answers these sizes in closed form; the scan is the oracle.
         for d in range(1, 61):
+            assert _rank_scan(d, d + 1)[d + 1] == count_basis(d, d + 1) == 1
+            assert _rank_scan(d, d + 2)[d + 2] == count_basis(d, d + 2) == closed_form_slice_count(d)
             if 2 <= d <= 40:  # scanning on to d = 60 would add about 2 s
                 want = 2 ** (d - 2) * comb(2 * d - 1, d - 2)
                 assert _rank_scan(d, 2 * d - 1)[2 * d - 1] == count_basis(d, 2 * d - 1) == want
             assert _rank_scan(d, 2 * d)[2 * d] == count_basis(d, 2 * d) == catalan(d)
 
-    # Each row d+j of the table and the guessed 2d-2 form are pinned against
-    # the scan on every d they answer up to 40, and at 60.
+    # The fitted rows d+j of the table and the guessed 2d-2 form are pinned
+    # against the scan on every d they answer up to 40, and at 60; rows 1
+    # and 2 are scanned to d = 60 in test_closed_forms_to_d_60.
     @pytest.mark.parametrize(
-        "size, form",
-        [*((lambda d, j=j: d + j, None) for j in range(1, 7)), (lambda d: 2 * d - 2, guessed_2d_minus_2)],
-        ids=[*(f"d+{j}" for j in range(1, 7)), "2d-2"],
+        "size",
+        [*(lambda d, j=j: d + j for j in range(3, 7)), lambda d: 2 * d - 2],
+        ids=[*(f"d+{j}" for j in range(3, 7)), "2d-2"],
     )
-    def test_guessed_forms_match_the_scan(self, size, form):
+    def test_guessed_forms_match_the_scan(self, size):
         for d in [*range(1, 41), 60]:
             n = size(d)
             if d < n <= 2 * d:
                 assert _rank_scan(d, n)[n] == count_basis(d, n), d
-                assert form is None or count_basis(d, n) == form(d), d
+
+    def test_2d_minus_2_is_the_guessed_form(self):
+        for d in range(3, 201):
+            assert count_basis(d, 2 * d - 2) == guessed_2d_minus_2(d), d
 
     def test_table_rows_2_and_3_are_the_known_forms(self):
         for d in range(3, 201):
