@@ -25,7 +25,10 @@ sizes 1,000 and 10,000 (501 and 5,001 runs), ``bijection dyck`` on those two
 paths and members both ways, counts at sizes d+3 and 2d-2
 for d = 10, 20, 30 and 40, counts past 4,300 digits, the json listing of the
 (13, 15) slice (32,556 members, two text chunks) whole and cut at 20,000,
-and the refusals.  Refusals that checkouts older than the diagonal listing
+and the refusals.  It also holds the flags a request would ignore, which are
+usage errors: ``stats --grid --format json|csv`` for each permutation of
+``PERMS``, and ``bijection phi1|phi2 --invert`` beside ``-d`` (phi1 with
+its member's own d, phi2 with another).  Refusals that checkouts older than the diagonal listing
 floor take about 13 s or forever on (``enumerate -d 500000 -n 1000000``,
 ``-d 500000 -n 999999``, ``-d 1000000000 -n 2000000000``) are left out, so
 the corpus runs on those checkouts too; ``-d 182 -n 186`` (about 5 s there)
@@ -113,6 +116,7 @@ def corpus(max_d: int) -> list[list[str]]:
     for perm in PERMS:
         out += [["stats", perm, "--format", fmt] for fmt in ("plain", "json", "csv")]
         out += [["stats", perm, "--grid"], ["scenario", perm], ["scenario", perm, "--format", "json"]]
+        out += [["stats", perm, "--grid", "--format", fmt] for fmt in ("json", "csv")]
         out += [["check", perm, "-d", str(d), "--format", fmt] for d in (1, 2, 3) for fmt in ("plain", "json")]
     for arg in ("UUDD", "UDUD", "UDDU", "2 1 4 3", "4 3 2 1", "3 2 1", "1 2 3 4"):
         out += [["bijection", "dyck", arg, "--format", fmt] for fmt in ("plain", "json")]
@@ -144,6 +148,7 @@ def corpus(max_d: int) -> list[list[str]]:
     for name in ("phi1", "phi2"):
         out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
     out += [["bijection", "phi1", "", "-d", "3"], ["bijection", "phi2", " ", "-d", "3"]]
+    out += [["bijection", "phi1", "--invert", "8 5 4 3 9 7 6 2 1", "-d", "7"], ["bijection", "phi2", "--invert", "7 6 2 1 5 4 3", "-d", "99"]]
     return out + DIAGONAL_COUNTS + JSON_LISTINGS + REFUSALS + LARGE_COUNTS
 
 

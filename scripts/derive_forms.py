@@ -21,17 +21,13 @@ blocks.  Summing over the paths of proper moves,
     count(d, d + j) = sum over i = 1..j of P_i(d) * i**d
 
 where deg P_i + 1 is at most the number of states with i looping blocks
-on one path of moves.  That number is at most 3(j - i) + 1.  Between two
-consecutive such states, some block that was not looping at the first
-one moves, for the looping blocks can only leave their state.  A block
-makes at most three moves from a state that is not looping (empty -> one
-value, one value -> on, and the move to closed).  Of these, the i blocks
-looping at the first such state made two before it, and the i looping at
-the last make their closing move after it, so 3i are never counted.  The
+on one path of moves.  That number is 3(j - i) + 1: the test
+``tests/test_minimal.py::TestCountBasis::test_degree_bound_of_the_rows``
+walks the moves and computes it for every row j = 1..6 and i = 0..j.  The
 sum holds once n reaches the number of states with no looping block on a
-path, at most 3j + 1 by the same count with i = 0.  Below that, at
-d = j..2j, a path can add a term of its own, so there the form holds only
-because the scan checks each of those d.
+path, 3j + 1 (the same count at i = 0).  Below that, at d = j..2j, a path
+can add a term of its own, so there the form holds only because the scan
+checks each of those d.
 
 So each row is a vector of U = sum over i of (3(j - i) + 1) unknowns,
 fixed by U consecutive values at d >= 2j + 1 (the sequences d**k * i**d
@@ -39,10 +35,10 @@ solve one linear recurrence of order U).  The script solves for them in
 exact fractions on the scanned counts at d = j .. j + U + 2, checks every
 scanned value from d = j up to U past 2j (at least 3 past the fit), and
 asserts that every coefficient above degree 2(j - i) is exactly 0.  Given
-the degree bound, the rows are then exact, not guessed.  The bound rests
-on the argument above, which is written by hand and has not been
-machine-checked; the tests also pin every row against the scan for
-d = j..40 and at 60.  The script never calls ``count_basis``, which reads
+the degree bound, the rows are then exact, not guessed.  What stays argued,
+not computed, is the standard step from states on a path to the degree of
+P_i (Stanley, EC1 4.7).  The tests also pin every row against the scan
+(``TestCountBasis``).  The script never calls ``count_basis``, which reads
 the table it derives, only ``_rank_scan``.
 
 It prints the table as a Python literal equal to the one ``permdl.minimal``

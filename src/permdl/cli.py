@@ -458,8 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("phi1", "phi2"):
         b = leaf(bij_sub, name, cmd_bijection_phi, f"{name}: subset <-> size-(d+2) member")
         b.add_argument("arg", help="subset '1,2,5' (or a permutation with --invert)")
-        b.add_argument("-d", "--descents", type=int, default=None)
-        b.add_argument("--invert", action="store_true")
+        # The inverse reads d off the member, so -d and --invert exclude each other.
+        direction = b.add_mutually_exclusive_group()
+        direction.add_argument("-d", "--descents", type=int, default=None)
+        direction.add_argument("--invert", action="store_true")
 
     b_tree = leaf(bij_sub, "tree", cmd_bijection_tree, "generating tree of the size-2d slices")
     b_tree.add_argument("--depth", type=int, default=4)
@@ -484,6 +486,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--limit must be at least 1")
         if args.size is None or args.count_only:
             parser.error("--limit applies only to -n listings")
+    if getattr(args, "grid", False) and args.format != "plain":
+        parser.error("--grid applies only to plain output")
     try:
         code = args.func(args)
         sys.stdout.flush()

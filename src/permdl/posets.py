@@ -35,6 +35,7 @@ Covers are stored as (lower, upper) pairs of positions: the value at
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import sys
 from array import array
@@ -113,32 +114,21 @@ class DiamondPoset:
         object.__setattr__(self, "covers", frozenset(self.covers))
         if self.size < 1:
             raise ValueError("a poset needs at least one node")
+        graph = graphlib.TopologicalSorter()
         for lo, up in self.covers:
             if not (1 <= lo <= self.size and 1 <= up <= self.size) or lo == up:
                 raise ValueError(f"cover ({lo}, {up}) out of range")
-        # Kahn's algorithm; a leftover node means the cover relation has a cycle.
-        indegree = {x: 0 for x in range(1, self.size + 1)}
-        above: dict[int, list[int]] = {x: [] for x in indegree}
-        for lo, up in self.covers:
-            indegree[up] += 1
-            above[lo].append(up)
-        ready = [x for x, deg in indegree.items() if deg == 0]
-        seen = 0
-        while ready:
-            x = ready.pop()
-            seen += 1
-            for y in above[x]:
-                indegree[y] -= 1
-                if indegree[y] == 0:
-                    ready.append(y)
-        if seen != self.size:
-            raise ValueError("cover relation contains a cycle")
+            graph.add(up, lo)
+        try:
+            graph.prepare()
+        except graphlib.CycleError:
+            raise ValueError("cover relation contains a cycle") from None
 
     @classmethod
     def _trusted(cls, size: int, covers: frozenset[tuple[int, int]]) -> DiamondPoset:
         # For the covers build_poset made: each joins two positions in
         # 1..size, and every minimal permutation with that composition
-        # labels them in order, so they have no cycle.  The range and Kahn
+        # labels them in order, so they have no cycle.  The range and cycle
         # checks above are skipped.
         poset = object.__new__(cls)
         object.__setattr__(poset, "size", size)

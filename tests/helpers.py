@@ -79,9 +79,35 @@ def composition_count(d: int, n: int) -> int:
 
 
 # States of one block in ``block_count``: empty; one value, open; one value
-# that is its max2; two or more values, open; two or more values with only
-# the max to come; closed.
+# that is its max2; two or more values, open ("looping": the one state a
+# value can keep); two or more values with only the max to come; closed.
 EMPTY, ONE, ONE_MAX2, MANY, MANY_MAX2, CLOSED = range(6)
+# The moves of a block that is handed a value, each with the values its
+# left neighbour must hold; and the values a block in each state holds, at
+# least.
+BLOCK_MOVES = {
+    EMPTY: [(ONE, 0), (ONE_MAX2, 1)],
+    ONE: [(MANY, 0), (MANY_MAX2, 1)],
+    ONE_MAX2: [(CLOSED, 2)],
+    MANY: [(MANY, 0), (MANY_MAX2, 1)],
+    MANY_MAX2: [(CLOSED, 2)],
+    CLOSED: [],
+}
+HELD = {EMPTY: 0, ONE: 1, ONE_MAX2: 1, MANY: 2, MANY_MAX2: 2, CLOSED: 2}
+
+
+def block_moves(states: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The tuples of block states one handed-out value can lead to.
+
+    The first block has no left neighbour and may always move.  A value
+    kept by a looping block leaves the tuple as it was.
+    """
+    return [
+        (*states[:t], to, *states[t + 1 :])
+        for t, state in enumerate(states)
+        for to, needs in BLOCK_MOVES[state]
+        if (HELD[states[t - 1]] if t else 2) >= needs
+    ]
 
 
 def block_count(d: int, n: int) -> int:
@@ -99,25 +125,12 @@ def block_count(d: int, n: int) -> int:
     j = n - d
     if j < 1 or n > 2 * d:
         return 0
-    moves = {
-        EMPTY: [(ONE, 0), (ONE_MAX2, 1)],
-        ONE: [(MANY, 0), (MANY_MAX2, 1)],
-        ONE_MAX2: [(CLOSED, 2)],
-        MANY: [(MANY, 0), (MANY_MAX2, 1)],
-        MANY_MAX2: [(CLOSED, 2)],
-        CLOSED: [],
-    }
-    held = {EMPTY: 0, ONE: 1, ONE_MAX2: 1, MANY: 2, MANY_MAX2: 2, CLOSED: 2}  # at least
     ways = {(EMPTY,) * j: 1}
     for _ in range(n):
         nxt: dict[tuple[int, ...], int] = {}
         for states, count in ways.items():
-            for t, state in enumerate(states):
-                left = held[states[t - 1]] if t else 2
-                for to, needs in moves[state]:
-                    if left >= needs:
-                        key = (*states[:t], to, *states[t + 1 :])
-                        nxt[key] = nxt.get(key, 0) + count
+            for key in block_moves(states):
+                nxt[key] = nxt.get(key, 0) + count
         ways = nxt
     return ways.get((CLOSED,) * j, 0)
 

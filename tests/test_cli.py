@@ -6,6 +6,7 @@ import sys
 import time
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -18,6 +19,7 @@ from permdl import (
     dyck_to_perm,
     enumerate_basis,
     generating_tree,
+    minimal,
     non_interval_subsets,
     phi1,
     phi2,
@@ -417,6 +419,10 @@ class TestListingRoute:
                 assert (code, out, err) == (0, text, "")
 
 
+def no_scan(d, n=None):
+    raise AssertionError(f"a refusal ran the rank scan of ({d}, {n})")
+
+
 class TestRefusals:
     """Requests above ``cli.MAX_LISTED`` are refused before any work.
 
@@ -425,8 +431,11 @@ class TestRefusals:
     """
 
     def refused(self, capsys, *argv) -> str:
+        # A refusal never runs the rank scan: it is decided on sizes, the
+        # diagonal floor and counts the closed forms give.
         start = time.perf_counter()
-        code, out, err = run(capsys, *argv)
+        with mock.patch.object(minimal, "_rank_scan", no_scan):
+            code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
@@ -461,6 +470,21 @@ class TestRefusals:
             for fmt in ("plain", "json"):
                 err = self.refused(capsys, "bijection", "tree", "--depth", depth, "--format", fmt)
                 assert "--count-only" in err
+
+    def test_no_refusal_at_the_cap_scans(self, capsys):
+        # Every nonempty slice n = D + j with j >= 2 is over the cap.  For
+        # j = 2..20 the diagonal walk reads only the rows j <= 6 and the
+        # forms at 2e-2, 2e-1 and 2e before it passes the cap, by e = 21;
+        # from j = 21 on, the floor 2^(j-1) refuses before anything is
+        # counted, so the sweep at D = 10^6 - j stops at j = 1000 and then
+        # takes its last j.  Tree levels are Catalan numbers, from the 2d form.
+        for d in (22, 1000):
+            for j in range(2, d + 1):
+                self.refused(capsys, "enumerate", "-d", str(d), "-n", str(d + j))
+        for j in (*range(2, 1001), 500000):
+            self.refused(capsys, "enumerate", "-d", str(10**6 - j), "-n", str(10**6))
+        for depth in range(13, 21):
+            self.refused(capsys, "bijection", "tree", "--depth", str(depth))
 
     def test_requests_too_large_to_hold(self, capsys):
         for argv in (
@@ -760,6 +784,32 @@ class TestParser:
                 main(argv)
             assert exc.value.code == 2
             assert capsys.readouterr().out == ""
+
+    def test_flags_a_request_would_ignore_are_refused(self, capsys):
+        # Like --limit outside a listing: the grid is drawn only in plain
+        # output, so its cell cap never decides a json or csv request, and
+        # --invert reads d off the member.
+        wide = " ".join(map(str, range(1001, 0, -1)))
+        cases = [
+            (["stats", perm, "--grid", "--format", fmt], "error: --grid applies only to plain output")
+            for perm in ("3 1 4 2", wide)
+            for fmt in ("json", "csv")
+        ]
+        member = "7 6 2 1 5 4 3"
+        cases += [
+            (["bijection", name, "--invert", member, "-d", "99"], "error: argument -d/--descents: not allowed with argument --invert")
+            for name in ("phi1", "phi2")
+        ]
+        cases.append(
+            (["bijection", "phi2", "-d", "5", "--invert", member], "error: argument --invert: not allowed with argument -d/--descents")
+        )
+        for argv, line in cases:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1].endswith(line)
 
     def test_one_parser_serves_every_call(self, capsys):
         # A refusal, help output and valid commands back to back on the

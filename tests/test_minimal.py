@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from math import comb
@@ -26,7 +27,15 @@ from permdl import (
 from permdl import minimal
 from permdl.minimal import _rank_scan, _window_failure
 
-from helpers import block_count, composition_count, definition_minimal, diamond_split_by_posets
+from helpers import (
+    EMPTY,
+    MANY,
+    block_count,
+    block_moves,
+    composition_count,
+    definition_minimal,
+    diamond_split_by_posets,
+)
 
 
 def closed_form_slice_count(d: int) -> int:
@@ -283,6 +292,26 @@ class TestCountBasis:
         for d in range(1, 13):
             for n in range(d + 1, min(d + 4, 2 * d) + 1):
                 assert block_count(d, n) == count_basis(d, n), (d, n)
+
+    def test_degree_bound_of_the_rows(self):
+        # scripts/derive_forms.py fits row j under deg P_i + 1 <= the most
+        # states with i looping blocks (MANY) on one path of block moves
+        # from (EMPTY,)*j to (CLOSED,)*j; the bound is computed here for
+        # every row of the table and i = 0..j, and is 3(j - i) + 1 exactly.
+        # A looping block keeping a value is a self-loop, not a new state.
+        # Every other tuple has a move (the leftmost block not yet closed
+        # always may), and blocks only move forward, so every path ends at
+        # (CLOSED,)*j.
+        for j in range(1, len(minimal._FEW_ASCENTS) + 1):
+
+            @functools.cache
+            def most(states: tuple[int, ...]) -> tuple[int, ...]:
+                # Per i, the most states with i looping blocks on a path from states on.
+                tails = [most(to) for to in block_moves(states) if to != states]
+                loops = states.count(MANY)
+                return tuple((loops == i) + max((t[i] for t in tails), default=0) for i in range(j + 1))
+
+            assert most((EMPTY,) * j) == tuple(3 * (j - i) + 1 for i in range(j + 1)), j
 
     def test_zero_outside_d_plus_1_to_2d(self):
         for d in range(1, 61):
