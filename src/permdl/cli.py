@@ -179,12 +179,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     d = args.descents
-    if d < 1:
-        raise ValueError("d must be at least 1")
     n = args.size
     listing = n is not None and not args.count_only
-    if listing and args.format == "bfile":
-        raise ValueError("format 'bfile' does not apply here (use plain/json/csv)")
     # The closed forms of count_basis, the rank scan of a table and the
     # posets of a listing take memory in proportion to the largest member
     # answered for: size n, or 2d for a whole table.  An empty slice, n
@@ -316,8 +312,6 @@ def cmd_bijection_dyck(args: argparse.Namespace) -> int:
 
 
 def _resolve_subset(args: argparse.Namespace) -> NonIntervalSubset:
-    if args.descents is None:
-        raise ValueError("-d is required to interpret the subset")
     subset = NonIntervalSubset(args.descents, frozenset(_integers(args.arg)))
     _refuse_over(subset.d + 2, f"a d={subset.d} member has {subset.d + 2} values")
     return subset
@@ -394,8 +388,6 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_poset(args: argparse.Namespace) -> int:
-    if (args.composition is None) == (args.ladder is None):
-        raise ValueError("give exactly one of --composition or --ladder")
     if args.ladder is not None:
         composition, size = None, 2 * args.ladder
     else:
@@ -458,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("phi1", "phi2"):
         b = leaf(bij_sub, name, cmd_bijection_phi, f"{name}: subset <-> size-(d+2) member")
         b.add_argument("arg", help="subset '1,2,5' (or a permutation with --invert)")
-        # The inverse reads d off the member, so -d and --invert exclude each other.
-        direction = b.add_mutually_exclusive_group()
+        # The inverse reads d off the member, so it takes --invert instead of -d.
+        direction = b.add_mutually_exclusive_group(required=True)
         direction.add_argument("-d", "--descents", type=int, default=None)
         direction.add_argument("--invert", action="store_true")
 
@@ -472,8 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--seed", type=int, default=0)
 
     p_poset = leaf(sub, "poset", cmd_poset, "export a shape poset as an edge list")
-    p_poset.add_argument("--composition", default=None, help="descent composition, e.g. '3,3,1,7,2'")
-    p_poset.add_argument("--ladder", type=int, default=None, help="ladder with this many steps")
+    shape = p_poset.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--composition", help="descent composition, e.g. '3,3,1,7,2'")
+    shape.add_argument("--ladder", type=int, help="ladder with this many steps")
 
     return parser
 
@@ -488,6 +481,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.error("--limit applies only to -n listings")
     if getattr(args, "grid", False) and args.format != "plain":
         parser.error("--grid applies only to plain output")
+    if args.format == "bfile" and args.size is not None and not args.count_only:
+        parser.error("--format bfile applies only to tables and --count-only")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -172,46 +172,42 @@ def enumerate_basis(d: int, n: int) -> BasisSlice:
 
 
 def _rank_scan(d: int, n: int | None = None) -> dict[int, int]:
-    # Members per size, {m: count} for m in d+1 .. last, counted left to
-    # right by relative rank (see count_basis).  With no target n the scan
-    # runs to 2d and reads every size off one pass; with a target it keeps
-    # only the prefixes that can still end at exactly n, so no count but
-    # counts[n] can be nonzero and the scan stops there.
-    last = 2 * d if n is None else n
-    most = d if n is None else n - 1 - d  # ascents a member may have
-    least = 0 if n is None else most  # ascents a member must have
-
-    def live(m: int, k: int, up: int) -> bool:
-        # The descents left must cover every ascent still owed, and the
-        # current one if the last pair ascended.  Without a target nothing
-        # is owed, and a kept prefix has a descent left, so this holds.
-        return d - (m - 1 - k) >= least - k + up
-
-    counts = dict.fromkeys(range(d + 1, last + 1), 0)
+    # Members per size, {m: count} for the sizes m that have members,
+    # counted left to right by relative rank (see count_basis).  A member
+    # has at least `least` and at most `most` ascents: a table of sizes
+    # d+1..2d takes 0 and d-1, a target n takes n-1-d for both, so only
+    # counts[n] is filled.  A prefix of length m with k ascents has
+    # slack = d - m + 2k - least, the descents it has left beyond the
+    # ascents it still owes; a descent, and so a completion, needs
+    # slack >= 0, and an ascent, which owes one more descent, needs
+    # slack >= -1.  Members have at most d + most + 1 values.
+    most = d - 1 if n is None else n - 1 - d
+    least = 0 if n is None else most
     # States of the prefixes of length m, keyed (k, up, b); the only prefix
-    # of length 2 is the descent 2 1, which is already a member when d = 1.
+    # of length 2 is the descent 2 1, a member with no ascent when d = 1.
+    counts = {2: 1} if d == 1 and least == 0 else {}
     states: dict[tuple[int, int, int], list[int]] = {(0, 0, 1): [0, 0, 1]}
-    if d == 1:
-        counts[2], states = 1, {}
-    for m in range(2, last):
+    for m in range(2, d + most + 1):
         # Columns of the prefixes of length m+1, indexed by a in 1..m+1.
         grown: defaultdict[tuple[int, int, int], list[int]] = defaultdict(lambda: [0] * (m + 2))
         done = 0
         for (k, up, b), column in states.items():
             below = list(itertools.accumulate(column))  # below[r - 1]: ways with a < r
-            if m - k == d:
-                # A prefix with d-1 descents: a descent uses the last one and
-                # makes it a whole member, which cannot grow (an ascent needs
-                # a later descent), so it is counted and never stored.
-                if live(m + 1, k, 0):
+            slack = d - m + 2 * k - least
+            if slack >= 0:
+                if m - k == d:
+                    # A prefix with d-1 descents: a descent uses the last
+                    # one and makes it a whole member, which cannot grow (an
+                    # ascent needs a later descent), so it is counted and
+                    # never stored.
                     done += sum(below[:b]) if up else b * below[-1]
-            elif live(m + 1, k, 0):
-                # Descent to rank r <= b; after an ascent it must clear the
-                # ascent's bottom a.
-                for r, ways in enumerate(below[:b] if up else [below[-1]] * b, 1):
-                    if ways:
-                        grown[k, 0, r][b + 1] += ways
-            if not up and k < most and live(m + 1, k + 1, 1):
+                else:
+                    # Descent to rank r <= b; after an ascent it must clear
+                    # the ascent's bottom a.
+                    for r, ways in enumerate(below[:b] if up else [below[-1]] * b, 1):
+                        if ways:
+                            grown[k, 0, r][b + 1] += ways
+            if not up and k < most and slack >= -1:
                 # Ascent to rank r > b, whose top must clear a.
                 for r, ways in enumerate(below[b:], b + 1):
                     if ways:
@@ -251,10 +247,12 @@ def count_basis(d: int, n: int) -> int:
     summarized by its ascent count k, whether its last pair ascended, the
     rank b of its last value, and a column over the rank a of its
     second-last value.  Appending a value of rank r (1..m+1) shifts the old
-    ranks >= r up by one.  A prefix is kept only while its n-1-d ascents
-    can still all be placed, each followed by a descent, so no prefix
-    reaches d descents before length n.  No member is materialized.  This
-    is the scan of ``count_table`` stopped at n.
+    ranks >= r up by one.  A member has exactly n-1-d ascents, so the
+    prefix's slack d - m + 2k - (n-1-d) counts the descents it has left
+    beyond the ascents it still owes.  A descent needs slack >= 0; an
+    ascent, which owes one more descent, needs slack >= -1 and k < n-1-d.
+    So no prefix reaches d descents before length n.  No member is
+    materialized.  This is the scan of ``count_table`` stopped at n.
 
     The sizes d+1..d+6, 2d-2, 2d-1 and 2d are answered without the scan,
     with Cat(k) = C(2k, k)/(k+1):
@@ -300,7 +298,10 @@ def count_table(d: int) -> dict[int, int]:
     one left-to-right rank scan over lengths 2..2d instead of one scan per
     size: at each length, the prefixes that have just used their d-th
     descent are the members of that size.  Such a prefix cannot grow (an
-    ascent needs a later descent), so it is counted and dropped.
+    ascent needs a later descent), so it is counted and dropped.  A table
+    owes no ascents, so the slack of ``count_basis`` is d - m + 2k, which
+    a kept prefix never takes below 0; only the cap of d-1 ascents, the
+    most a size-2d member has, bounds the scan.
 
     >>> count_table(4)
     {5: 1, 6: 32, 7: 84, 8: 14}

@@ -89,10 +89,11 @@ class PatternBasis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patterns", frozenset(self.patterns))
-        # Distinct permutations of one size never involve each other, so only
-        # smaller-into-larger pairs are tried.
+        # Sorted by size, each pair puts the smaller pattern first, and
+        # distinct permutations of one size never involve each other, so
+        # only smaller-into-larger pairs are tried.
         members = sorted(self.patterns, key=lambda p: (p.n, p.values))
-        for a, b in itertools.permutations(members, 2):
+        for a, b in itertools.combinations(members, 2):
             if a.n < b.n and involves(a, b):
                 raise ValueError(f"not an antichain: {a} occurs in {b}")
 

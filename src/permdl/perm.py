@@ -11,8 +11,8 @@ objects can be shared freely across threads or worker processes.
 
 Hosts reach 10^5 values, so the scans over a word run as C-level passes
 rather than per-value Python loops: descents are read off one
-``map(operator.gt, ...)`` over adjacent pairs, runs are slices between the
-descent cuts, and parsed text is checked with ``min``, ``max`` and ``set``.
+``map(operator.gt, ...)`` over adjacent pairs, and runs are slices between
+the descent cuts.
 """
 
 from __future__ import annotations
@@ -120,12 +120,6 @@ def parse_permutation(text: str) -> Permutation:
     values = _integers(text)
     if not values:
         raise ValueError("empty permutation input")
-    n = len(values)
-    # Exact for the ints int() returns: n distinct values in 1..n are a
-    # permutation.  Anything else goes through the checking constructor,
-    # which raises the message naming the first bad value.
-    if min(values) >= 1 and max(values) <= n and len(set(values)) == n:
-        return Permutation._trusted(tuple(values))
     return Permutation(tuple(values))
 
 

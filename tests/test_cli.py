@@ -298,11 +298,6 @@ class TestEnumerate:
         assert code == 0
         assert out == "6 5\n"
 
-    def test_member_bfile_rejected(self, capsys):
-        code, _, err = run(capsys, "enumerate", "-d", "3", "-n", "5", "--format", "bfile")
-        assert code == 2
-        assert "bfile" in err
-
     def test_bad_d(self, capsys):
         code, _, err = run(capsys, "enumerate", "-d", "0")
         assert code == 2
@@ -665,10 +660,6 @@ class TestBijectionCommands:
         assert code == 0
         assert out == "3,4,5,8\n"
 
-    def test_phi1_requires_d(self, capsys):
-        code, _, err = run(capsys, "bijection", "phi1", "3,4,5,8")
-        assert code == 2
-
     def test_phi2(self, capsys):
         code, out, _ = run(capsys, "bijection", "phi2", "-d", "5", "1,2,5")
         assert code == 0
@@ -760,12 +751,6 @@ class TestPoset:
         code, out, _ = run(capsys, "poset", "--ladder", "1", "--format", "json")
         assert json.loads(out) == {"size": 2, "covers": [[2, 1]]}
 
-    def test_requires_exactly_one_source(self, capsys):
-        code, _, err = run(capsys, "poset")
-        assert code == 2
-        code, _, err = run(capsys, "poset", "--ladder", "2", "--composition", "1,1")
-        assert code == 2
-
 
 class TestParser:
     def test_unknown_command_exits_2(self, capsys):
@@ -788,7 +773,9 @@ class TestParser:
     def test_flags_a_request_would_ignore_are_refused(self, capsys):
         # Like --limit outside a listing: the grid is drawn only in plain
         # output, so its cell cap never decides a json or csv request, and
-        # --invert reads d off the member.
+        # --invert reads d off the member.  The parser also owns the other
+        # rules on which flags go together: a listing has no bfile lines,
+        # and phi1, phi2 and poset each need exactly one source.
         wide = " ".join(map(str, range(1001, 0, -1)))
         cases = [
             (["stats", perm, "--grid", "--format", fmt], "error: --grid applies only to plain output")
@@ -800,9 +787,14 @@ class TestParser:
             (["bijection", name, "--invert", member, "-d", "99"], "error: argument -d/--descents: not allowed with argument --invert")
             for name in ("phi1", "phi2")
         ]
-        cases.append(
-            (["bijection", "phi2", "-d", "5", "--invert", member], "error: argument --invert: not allowed with argument -d/--descents")
-        )
+        cases += [
+            (["bijection", "phi2", "-d", "5", "--invert", member], "error: argument --invert: not allowed with argument -d/--descents"),
+            (["bijection", "phi1", "3,4,5,8"], "error: one of the arguments -d/--descents --invert is required"),
+            (["enumerate", "-d", "3", "-n", "5", "--format", "bfile"], "error: --format bfile applies only to tables and --count-only"),
+            (["enumerate", "-d", "3", "-n", "5", "--format", "bfile", "--limit", "1"], "error: --format bfile applies only to tables and --count-only"),
+            (["poset"], "error: one of the arguments --composition --ladder is required"),
+            (["poset", "--ladder", "2", "--composition", "1,1"], "error: argument --composition: not allowed with argument --ladder"),
+        ]
         for argv, line in cases:
             with pytest.raises(SystemExit) as exc:
                 main(argv)

@@ -227,8 +227,13 @@ class TestCountBasis:
                 assert table.get(n, 0) == want, (d, n)
 
     def test_table_equals_count_basis_to_d_20(self):
+        # A scan holds only the sizes that have members: every size for a
+        # table, and just n for a target n.
         for d in range(1, 21):
-            assert count_table(d) == {n: count_basis(d, n) for n in range(d + 1, 2 * d + 1)}, d
+            table = count_table(d)
+            assert table == {n: count_basis(d, n) for n in range(d + 1, 2 * d + 1)}, d
+            for n in table:
+                assert _rank_scan(d, n) == {n: table[n]}, (d, n)
 
     def test_table_rejects_bad_d(self):
         for d in (0, -1):
@@ -244,7 +249,7 @@ class TestCountBasis:
         # count_basis answers these sizes in closed form; the scan is the oracle.
         for d in range(1, 61):
             assert _rank_scan(d, d + 1)[d + 1] == count_basis(d, d + 1) == 1
-            assert _rank_scan(d, d + 2)[d + 2] == count_basis(d, d + 2) == closed_form_slice_count(d)
+            assert _rank_scan(d, d + 2).get(d + 2, 0) == count_basis(d, d + 2) == closed_form_slice_count(d)
             if 2 <= d <= 40:  # scanning on to d = 60 would add about 2 s
                 want = 2 ** (d - 2) * comb(2 * d - 1, d - 2)
                 assert _rank_scan(d, 2 * d - 1)[2 * d - 1] == count_basis(d, 2 * d - 1) == want

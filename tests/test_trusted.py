@@ -1,8 +1,7 @@
 """Every site that wraps words without the checks of the public constructors.
 
 ``Permutation._trusted`` skips the range and duplicate loop (the library
-built the word, or ``parse_permutation`` or ``standardize`` checked it in
-one pass),
+built the word, or ``standardize`` checked it in one pass),
 ``eco_children`` skips the minimality check of ``EcoNode``, and
 ``build_poset`` skips the range and cycle checks of ``DiamondPoset``.  Each
 test here rebuilds a sample of one site's outputs through the public,
