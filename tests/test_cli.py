@@ -39,6 +39,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def refused(capsys, *argv):
+    """Run a request the parser refuses; return the last line of its error."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err.splitlines()[-1]
+
+
 class TestStats:
     def test_plain(self, capsys):
         code, out, _ = run(capsys, "stats", "6 9 8 4 1 3 7 2 5")
@@ -297,6 +307,11 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "-d", "3", "-n", "6", "--count-only", "--format", "bfile")
         assert code == 0
         assert out == "6 5\n"
+
+    def test_member_bfile_rejected(self, capsys):
+        line = "error: --format bfile applies only to tables and --count-only"
+        assert refused(capsys, "enumerate", "-d", "3", "-n", "5", "--format", "bfile").endswith(line)
+        assert refused(capsys, "enumerate", "-d", "3", "-n", "5", "--format", "bfile", "--limit", "1").endswith(line)
 
     def test_bad_d(self, capsys):
         code, _, err = run(capsys, "enumerate", "-d", "0")
@@ -660,6 +675,10 @@ class TestBijectionCommands:
         assert code == 0
         assert out == "3,4,5,8\n"
 
+    def test_phi1_requires_d(self, capsys):
+        line = refused(capsys, "bijection", "phi1", "3,4,5,8")
+        assert line.endswith("error: one of the arguments -d/--descents --invert is required")
+
     def test_phi2(self, capsys):
         code, out, _ = run(capsys, "bijection", "phi2", "-d", "5", "1,2,5")
         assert code == 0
@@ -751,6 +770,12 @@ class TestPoset:
         code, out, _ = run(capsys, "poset", "--ladder", "1", "--format", "json")
         assert json.loads(out) == {"size": 2, "covers": [[2, 1]]}
 
+    def test_requires_exactly_one_source(self, capsys):
+        line = refused(capsys, "poset")
+        assert line.endswith("error: one of the arguments --composition --ladder is required")
+        line = refused(capsys, "poset", "--ladder", "2", "--composition", "1,1")
+        assert line.endswith("error: argument --composition: not allowed with argument --ladder")
+
 
 class TestParser:
     def test_unknown_command_exits_2(self, capsys):
@@ -773,9 +798,7 @@ class TestParser:
     def test_flags_a_request_would_ignore_are_refused(self, capsys):
         # Like --limit outside a listing: the grid is drawn only in plain
         # output, so its cell cap never decides a json or csv request, and
-        # --invert reads d off the member.  The parser also owns the other
-        # rules on which flags go together: a listing has no bfile lines,
-        # and phi1, phi2 and poset each need exactly one source.
+        # --invert reads d off the member.
         wide = " ".join(map(str, range(1001, 0, -1)))
         cases = [
             (["stats", perm, "--grid", "--format", fmt], "error: --grid applies only to plain output")
@@ -787,14 +810,9 @@ class TestParser:
             (["bijection", name, "--invert", member, "-d", "99"], "error: argument -d/--descents: not allowed with argument --invert")
             for name in ("phi1", "phi2")
         ]
-        cases += [
-            (["bijection", "phi2", "-d", "5", "--invert", member], "error: argument --invert: not allowed with argument -d/--descents"),
-            (["bijection", "phi1", "3,4,5,8"], "error: one of the arguments -d/--descents --invert is required"),
-            (["enumerate", "-d", "3", "-n", "5", "--format", "bfile"], "error: --format bfile applies only to tables and --count-only"),
-            (["enumerate", "-d", "3", "-n", "5", "--format", "bfile", "--limit", "1"], "error: --format bfile applies only to tables and --count-only"),
-            (["poset"], "error: one of the arguments --composition --ladder is required"),
-            (["poset", "--ladder", "2", "--composition", "1,1"], "error: argument --composition: not allowed with argument --ladder"),
-        ]
+        cases.append(
+            (["bijection", "phi2", "-d", "5", "--invert", member], "error: argument --invert: not allowed with argument -d/--descents")
+        )
         for argv, line in cases:
             with pytest.raises(SystemExit) as exc:
                 main(argv)
