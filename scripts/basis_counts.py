@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Tabulate how many minimal permutations with d descents exist per size.
 
-Table rows come from ``count_table``, one rank scan per d for all its
-sizes, and the --series diagonals from ``count_basis``; both are polynomial
-in the size.  ``count_basis`` answers the sizes d+1..d+6, 2d-2, 2d-1 and
-2d in closed form, so the series at offsets 1..6 cost no scan; the sizes
-in between have no known form and are always scanned.
-``--max-d 30`` prints its 30 rows in about 1.5 s (Python 3.11, 2-core VM),
+Table rows come from ``count_table`` and the --series diagonals from
+``count_basis``; both are polynomial in the size.  ``count_basis``
+answers the sizes d+1..d+6 and 2d-3..2d in closed form, so the series at
+offsets 1..6 cost no scan; the sizes d+7..2d-4 in between have no known
+form and are always scanned, by ``count_table`` in one rank scan per d.
+``--max-d 30`` prints its 30 rows in about 1.2 s (Python 3.11, 2-core VM),
 against 9-10 s with one scan per size.
 
 Examples:

@@ -16,10 +16,10 @@ it is kept as the oracle the tests and the golden files check the
 labelling route against.  ``count_basis`` counts a slice without listing
 it: since the window rules are local, it scans left to right over the
 relative ranks of the last two values, in time polynomial in n, and
-answers the sizes d+1..d+6, 2d-2, 2d-1 and 2d in closed form.
-``count_table`` runs the same scan once over lengths 2..2d and reads the
-count of every size d+1..2d off it, where a table of ``count_basis``
-calls would rescan every short prefix once per size.
+answers the sizes d+1..d+6 and 2d-3..2d in closed form.  ``count_table``
+reads those sizes from the closed forms and the sizes d+7..2d-4 in
+between off one run of the same scan over the whole band, where a table
+of ``count_basis`` calls would rescan every short prefix once per size.
 """
 
 from __future__ import annotations
@@ -171,18 +171,19 @@ def enumerate_basis(d: int, n: int) -> BasisSlice:
     return BasisSlice(d, n, tuple(map(Permutation._trusted, _unpack(words, n))))
 
 
-def _rank_scan(d: int, n: int | None = None) -> dict[int, int]:
-    # Members per size, {m: count} for the sizes m that have members,
-    # counted left to right by relative rank (see count_basis).  A member
-    # has at least `least` and at most `most` ascents: a table of sizes
-    # d+1..2d takes 0 and d-1, a target n takes n-1-d for both, so only
-    # counts[n] is filled.  A prefix of length m with k ascents has
-    # slack = d - m + 2k - least, the descents it has left beyond the
-    # ascents it still owes; a descent, and so a completion, needs
-    # slack >= 0, and an ascent, which owes one more descent, needs
-    # slack >= -1.  Members have at most d + most + 1 values.
-    most = d - 1 if n is None else n - 1 - d
-    least = 0 if n is None else most
+def _rank_scan(d: int, lo: int, hi: int | None = None) -> dict[int, int]:
+    # Members of the sizes lo..hi (hi defaults to lo), {m: count} for the
+    # sizes m that have members, counted left to right by relative rank
+    # (see count_basis).  A member of size m has m-1-d ascents, so one in
+    # the band has at least `least` and at most `most`: the whole table
+    # d+1..2d takes 0 and d-1, a single size n takes n-1-d for both.  A
+    # prefix of length m with k ascents has slack = d - m + 2k - least,
+    # the descents it has left beyond the ascents it still owes; a
+    # descent, and so a completion, needs slack >= 0, and an ascent, which
+    # owes one more descent, needs slack >= -1.  Members have at most
+    # d + most + 1 values.
+    least = lo - 1 - d
+    most = (lo if hi is None else hi) - 1 - d
     # States of the prefixes of length m, keyed (k, up, b); the only prefix
     # of length 2 is the descent 2 1, a member with no ascent when d = 1.
     counts = {2: 1} if d == 1 and least == 0 else {}
@@ -252,21 +253,24 @@ def count_basis(d: int, n: int) -> int:
     beyond the ascents it still owes.  A descent needs slack >= 0; an
     ascent, which owes one more descent, needs slack >= -1 and k < n-1-d.
     So no prefix reaches d descents before length n.  No member is
-    materialized.  This is the scan of ``count_table`` stopped at n.
+    materialized.  This is the band scan of ``count_table`` with the band
+    narrowed to n.
 
-    The sizes d+1..d+6, 2d-2, 2d-1 and 2d are answered without the scan,
-    with Cat(k) = C(2k, k)/(k+1):
+    The sizes d+1..d+6 and 2d-3..2d are answered without the scan, with
+    Cat(k) = C(2k, k)/(k+1):
 
     - n = d+j, j = 1..6: the sum of P_i(d) * i**d over i = 1..j, from
       the table ``_FEW_ASCENTS``; d+1 is the decreasing word, and d+2 is
       2**(d+2) - (d+1)(d+2) - 2;
+    - n = 2d-3: Cat(d-1) * (27(9d**2 + 19d + 22) * 4**d
+      + 64(d-8)(d+1) * 6**d) / (13824 (d+1));
     - n = 2d-2: Cat(d-1) * ((d+1) * 4**(d-1) - 2(2d**2 + 3d + 4) * 3**(d-3)) / (d+1);
     - n = 2d-1: 2**(d-2) * C(2d-1, d-2);
     - n = 2d: Cat(d).
 
     The sizes d+2 and 2d are the paper's counts.  The rows d+1..d+6 are
     fitted to the scan by ``scripts/derive_forms.py`` under a degree bound
-    the tests compute for every row; the forms at 2d-2 and 2d-1 were
+    the tests compute for every row; the forms at 2d-3, 2d-2 and 2d-1 were
     guessed from exact counts.  ``tests/test_minimal.py::TestCountBasis``
     pins every form against the scan.  The divisions are exact.  Where two
     sizes coincide, as d+3 = 2d at d = 3, their forms agree.
@@ -281,6 +285,10 @@ def count_basis(d: int, n: int) -> int:
     if n - d <= len(_FEW_ASCENTS):
         den, polys = _FEW_ASCENTS[n - d - 1]
         return sum(i**d * sum(c * d**k for k, c in enumerate(q)) for i, q in enumerate(polys, 1)) // den
+    if n == 2 * d - 3:
+        catalan = comb(2 * d - 2, d - 1) // d
+        scaled = 27 * (9 * d * d + 19 * d + 22) * 4**d + 64 * (d - 8) * (d + 1) * 6**d
+        return catalan * scaled // (13824 * (d + 1))
     if n == 2 * d - 2:
         catalan = comb(2 * d - 2, d - 1) // d
         return catalan * ((d + 1) * 4 ** (d - 1) - 2 * (2 * d * d + 3 * d + 4) * 3 ** (d - 3)) // (d + 1)
@@ -294,14 +302,15 @@ def count_basis(d: int, n: int) -> int:
 def count_table(d: int) -> dict[int, int]:
     """Numbers of minimal permutations with d descents, size by size.
 
-    The whole table ``{n: count_basis(d, n)}`` for n = d+1 .. 2d, read off
-    one left-to-right rank scan over lengths 2..2d instead of one scan per
-    size: at each length, the prefixes that have just used their d-th
-    descent are the members of that size.  Such a prefix cannot grow (an
-    ascent needs a later descent), so it is counted and dropped.  A table
-    owes no ascents, so the slack of ``count_basis`` is d - m + 2k, which
-    a kept prefix never takes below 0; only the cap of d-1 ascents, the
-    most a size-2d member has, bounds the scan.
+    The whole table ``{n: count_basis(d, n)}`` for n = d+1 .. 2d.  The
+    sizes d+1..d+6 and 2d-3..2d come from the closed forms of
+    ``count_basis``.  The sizes d+7..2d-4 between them, non-empty from
+    d = 11 on, are read off one left-to-right rank scan of that band
+    instead of one scan per size: at each length, the prefixes that have
+    just used their d-th descent are the members of that size.  Such a
+    prefix cannot grow (an ascent needs a later descent), so it is counted
+    and dropped.  The band's members have 6 to d-5 ascents, which is the
+    slack floor and the ascent cap of the scan.
 
     >>> count_table(4)
     {5: 1, 6: 32, 7: 84, 8: 14}
@@ -310,7 +319,9 @@ def count_table(d: int) -> dict[int, int]:
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    return _rank_scan(d)
+    band = range(d + 7, 2 * d - 3)
+    scanned = _rank_scan(d, band[0], band[-1]) if band else {}
+    return {n: scanned[n] if n in band else count_basis(d, n) for n in range(d + 1, 2 * d + 1)}
 
 
 def count_by_diamond_type(d: int) -> tuple[int, int]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from math import comb
 
 from permdl import (
     DiamondPoset,
@@ -133,6 +134,18 @@ def block_count(d: int, n: int) -> int:
                 nxt[key] = nxt.get(key, 0) + count
         ways = nxt
     return ways.get((CLOSED,) * j, 0)
+
+
+def guessed_2d_minus_3(d: int) -> tuple[int, int]:
+    """The guessed size-(2d-3) count as (quotient, remainder) of its division.
+
+    Cat(d-1) (27(9d^2 + 19d + 22) 4^d + 64(d-8)(d+1) 6^d) / (13824 (d+1)),
+    written out apart from ``count_basis``; the remainder is 0 when the
+    form divides exactly.
+    """
+    catalan = comb(2 * d - 2, d - 1) // d
+    scaled = catalan * (27 * (9 * d**2 + 19 * d + 22) * 4**d + 64 * (d - 8) * (d + 1) * 6**d)
+    return divmod(scaled, 13824 * (d + 1))
 
 
 def diamond_split_by_posets(d: int) -> tuple[int, int]:

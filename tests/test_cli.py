@@ -229,8 +229,8 @@ class TestEnumerate:
 
     def test_count_only_far_beyond_listing(self, capsys):
         # (30, 45) has 77.5 million descent compositions; (1200, 1201) one of
-        # 1201 elements.  The sizes d+1..d+6, 2d-2, 2d-1 and 2d are answered
-        # in closed form; a scan of (400, 403) or (300, 598) would take
+        # 1201 elements.  The sizes d+1..d+6 and 2d-3..2d are answered in
+        # closed form; a scan of (400, 403) or (300, 598) would take
         # 20-50 s.  None may take long.
         for d, n, want in (
             (30, 45, count_basis(30, 45)),
@@ -282,8 +282,9 @@ class TestEnumerate:
         assert sys.get_int_max_str_digits() == limit
 
     def test_large_table_from_one_scan(self, capsys, monkeypatch):
-        # One scan over lengths 2..80 gives all 40 sizes: the table makes a
-        # single untargeted call of the rank scan, not one per size.
+        # One scan of the band 47..76 gives the 30 sizes that have no closed
+        # form: the table makes a single band call of the rank scan, not one
+        # per size.
         scan, calls = permdl.minimal._rank_scan, []
 
         def counted(*args):
@@ -292,13 +293,13 @@ class TestEnumerate:
 
         monkeypatch.setattr(permdl.minimal, "_rank_scan", counted)
         code, out, _ = run(capsys, "enumerate", "-d", "40")
-        assert calls == [(40,)]
+        assert calls == [(40, 47, 76)]
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "# d=40 sizes 41..80"
         counts = dict(map(int, line.split()) for line in lines[1:-1])
         assert list(counts) == list(range(41, 81))
-        # The scan's first two sizes and its last, the Catalan number C_40, match their closed forms.
+        # The first two sizes and the last, the Catalan number C_40, match their closed forms.
         assert counts[41] == 1 and counts[42] == 2**42 - 41 * 42 - 2
         assert counts[80] == 2622127042276492108820
         assert lines[-1] == f"total {sum(counts.values())}"
@@ -429,8 +430,8 @@ class TestListingRoute:
                 assert (code, out, err) == (0, text, "")
 
 
-def no_scan(d, n=None):
-    raise AssertionError(f"a refusal ran the rank scan of ({d}, {n})")
+def no_scan(*args):
+    raise AssertionError(f"a refusal ran the rank scan of {args}")
 
 
 class TestRefusals:

@@ -35,6 +35,7 @@ from helpers import (
     composition_count,
     definition_minimal,
     diamond_split_by_posets,
+    guessed_2d_minus_3,
 )
 
 
@@ -235,6 +236,25 @@ class TestCountBasis:
             for n in table:
                 assert _rank_scan(d, n) == {n: table[n]}, (d, n)
 
+    def test_table_equals_the_full_band_scan(self):
+        # The closed forms and the band scan of count_table against one
+        # scan of every size d+1..2d.
+        for d in [*range(1, 31), 40]:
+            assert count_table(d) == _rank_scan(d, d + 1, 2 * d), d
+
+    def test_table_scans_only_the_open_band(self, monkeypatch):
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return _rank_scan(*args)
+
+        monkeypatch.setattr(minimal, "_rank_scan", recorded)
+        for d in range(1, 21):
+            calls.clear()
+            count_table(d)
+            assert calls == ([] if d <= 10 else [(d, d + 7, 2 * d - 4)]), d
+
     def test_table_rejects_bad_d(self):
         for d in (0, -1):
             with pytest.raises(ValueError):
@@ -255,19 +275,23 @@ class TestCountBasis:
                 assert _rank_scan(d, 2 * d - 1)[2 * d - 1] == count_basis(d, 2 * d - 1) == want
             assert _rank_scan(d, 2 * d)[2 * d] == count_basis(d, 2 * d) == catalan(d)
 
-    # The fitted rows d+j of the table and the guessed 2d-2 form are pinned
-    # against the scan on every d they answer up to 40, and at 60; rows 1
-    # and 2 are scanned to d = 60 in test_closed_forms_to_d_60.
+    # The fitted rows d+j of the table and the guessed 2d-3 and 2d-2 forms
+    # are pinned against the scan on every d they answer up to 40, and at
+    # 60; rows 1 and 2 are scanned to d = 60 in test_closed_forms_to_d_60.
     @pytest.mark.parametrize(
         "size",
-        [*(lambda d, j=j: d + j for j in range(3, 7)), lambda d: 2 * d - 2],
-        ids=[*(f"d+{j}" for j in range(3, 7)), "2d-2"],
+        [*(lambda d, j=j: d + j for j in range(3, 7)), lambda d: 2 * d - 3, lambda d: 2 * d - 2],
+        ids=[*(f"d+{j}" for j in range(3, 7)), "2d-3", "2d-2"],
     )
     def test_guessed_forms_match_the_scan(self, size):
         for d in [*range(1, 41), 60]:
             n = size(d)
             if d < n <= 2 * d:
                 assert _rank_scan(d, n)[n] == count_basis(d, n), d
+
+    def test_2d_minus_3_is_the_guessed_form(self):
+        for d in range(4, 201):
+            assert guessed_2d_minus_3(d) == (count_basis(d, 2 * d - 3), 0), d
 
     def test_2d_minus_2_is_the_guessed_form(self):
         for d in range(3, 201):
@@ -281,9 +305,9 @@ class TestCountBasis:
 
     def test_table_rows_never_scan(self, monkeypatch):
         # Far past what the scan reaches, and still never falling along a
-        # diagonal (see TestDiagonalFloor).
-        def refuse(d, n=None):
-            raise AssertionError(f"_rank_scan({d}, {n}) called")
+        # diagonal (see TestDiagonalFloor); nor does the 2d-3 form scan.
+        def refuse(*args):
+            raise AssertionError(f"_rank_scan{args} called")
 
         monkeypatch.setattr(minimal, "_rank_scan", refuse)
         below = [0] * 7
@@ -292,6 +316,8 @@ class TestCountBasis:
                 count = count_basis(d, d + j)
                 assert count >= max(below[j], 1), (d, j)
                 below[j] = count
+            if d >= 10:
+                assert count_basis(d, 2 * d - 3) > 0, d
 
     def test_block_automaton_agrees(self):
         for d in range(1, 13):
