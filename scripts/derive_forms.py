@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Derive the closed forms of the slices n = d + j, j = 1..6, from the rank scan.
+"""Derive the closed forms of the slices n = d + j, j = 1..8, from the rank scan.
 
 A member of B_d of size n = d + j has j - 1 ascents, so it is j decreasing
 blocks of at least two values each, read left to right: an ordered set
@@ -23,7 +23,7 @@ blocks.  Summing over the paths of proper moves,
 where deg P_i + 1 is at most the number of states with i looping blocks
 on one path of moves.  That number is 3(j - i) + 1: the test
 ``tests/test_minimal.py::TestCountBasis::test_degree_bound_of_the_rows``
-walks the moves and computes it for every row j = 1..6 and i = 0..j.  The
+walks the moves and computes it for every row j = 1..8 and i = 0..j.  The
 sum holds once n reaches the number of states with no looping block on a
 path, 3j + 1 (the same count at i = 0).  Below that, at d = j..2j, a path
 can add a term of its own, so there the form holds only because the scan
@@ -43,8 +43,10 @@ the table it derives, only ``_rank_scan``.
 
 It prints the table as a Python literal equal to the one ``permdl.minimal``
 holds: per row, a common denominator and the integer coefficients of each
-P_i times it, lowest degree first.  The six rows take about 6 s (Python 3.11, 2-core
-VM), most of it in row 6: its scans up to d = 63 and its exact solve.
+P_i times it, lowest degree first.  The eight rows take about 60 s (Python
+3.11, 2-core VM), nearly all of it in rows 7 and 8 (about 15 s and 43 s):
+their scans up to d = 84 and d = 108 and their exact solves over 70 and 92
+unknowns.
 
 Examples:
     python scripts/derive_forms.py
@@ -101,7 +103,7 @@ def derive_row(j: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-j", type=int, default=6, help="derive rows j = 1..MAX_J (default 6)")
+    parser.add_argument("--max-j", type=int, default=8, help="derive rows j = 1..MAX_J (default 8)")
     args = parser.parse_args()
     if args.max_j < 1:
         parser.error("--max-j must be at least 1")

@@ -16,8 +16,8 @@ it is kept as the oracle the tests and the golden files check the
 labelling route against.  ``count_basis`` counts a slice without listing
 it: since the window rules are local, it scans left to right over the
 relative ranks of the last two values, in time polynomial in n, and
-answers the sizes d+1..d+6 and 2d-3..2d in closed form.  ``count_table``
-reads those sizes from the closed forms and the sizes d+7..2d-4 in
+answers the sizes d+1..d+8 and 2d-3..2d in closed form.  ``count_table``
+reads those sizes from the closed forms and the sizes d+9..2d-4 in
 between off one run of the same scan over the whole band, where a table
 of ``count_basis`` calls would rescan every short prefix once per size.
 """
@@ -219,7 +219,7 @@ def _rank_scan(d: int, lo: int, hi: int | None = None) -> dict[int, int]:
     return counts
 
 
-# The slices n = d + j, j = 1..6: count_basis(d, d + j) is the sum of
+# The slices n = d + j, j = 1..8: count_basis(d, d + j) is the sum of
 # P_i(d) * i**d over i = 1..j, with polynomials P_i of degree 2(j - i).
 # Row j holds a common denominator den and, for each i, the coefficients
 # of den * P_i, lowest degree first.  scripts/derive_forms.py fits the rows
@@ -235,6 +235,22 @@ _FEW_ASCENTS = (
            (-76800, 77440, -2240, -5760, -1920, -1320, 300, 200, 20),
            (-51840, 176040, -34020, -56160, -27000, -6480, -540),
            (491520, 1474560, 706560, 168960, 15360), (-6000000, -2625000, -375000), (5598720,))),
+    (720, ((-3870720, 5231616, -1660928, -1209216, 699760, 68644, -80366, 868, 4114, -155, -101, 3, 1),
+           (-7076160, 4967568, -230040, -299520, 124320, -67488, -7056, 7680, 480, -240, -24),
+           (-7076160, 8696160, -745200, -962280, -230040, -8100, 41310, 11340, 810),
+           (-3870720, 18585600, -5437440, -6328320, -2457600, -460800, -30720),
+           (56250000, 157500000, 69750000, 14625000, 1125000), (-638254080, -268738560, -33592320),
+           (592950960,))),
+    (5040, ((-378000000, 820650000, -128012500, -237037500, 61539625, 23951410, -7606823, -1093318,
+             427120, 23030, -12236, -182, 175, 0, -1),
+            (-867041280, 509558784, -23109632, -51652608, 25070080, -2604224, -2264864, 463456, 95032,
+             -18620, -2324, 252, 28),
+            (-925888320, 739608408, -34904520, -51285150, -357210, -2922318, 999054, 459270, -28350,
+             -17010, -1134),
+            (-867041280, 1260994560, -193536000, -152248320, -22794240, 6988800, 5322240, 967680, 53760),
+            (-378000000, 2619750000, -968625000, -918750000, -304500000, -47250000, -2625000),
+            (8465264640, 22574039040, 9405849600, 1763596800, 117573120),
+            (-91314447840, -37355910480, -4150656720), (84557168640,))),
 )
 
 
@@ -256,24 +272,27 @@ def count_basis(d: int, n: int) -> int:
     materialized.  This is the band scan of ``count_table`` with the band
     narrowed to n.
 
-    The sizes d+1..d+6 and 2d-3..2d are answered without the scan, with
+    The sizes 2d-3..2d and d+1..d+8 are answered without the scan, with
     Cat(k) = C(2k, k)/(k+1):
 
-    - n = d+j, j = 1..6: the sum of P_i(d) * i**d over i = 1..j, from
-      the table ``_FEW_ASCENTS``; d+1 is the decreasing word, and d+2 is
-      2**(d+2) - (d+1)(d+2) - 2;
+    - n = 2d: Cat(d);
+    - n = 2d-1: 2**(d-2) * C(2d-1, d-2);
+    - n = 2d-2: Cat(d-1) * ((d+1) * 4**(d-1) - 2(2d**2 + 3d + 4) * 3**(d-3)) / (d+1);
     - n = 2d-3: Cat(d-1) * (27(9d**2 + 19d + 22) * 4**d
       + 64(d-8)(d+1) * 6**d) / (13824 (d+1));
-    - n = 2d-2: Cat(d-1) * ((d+1) * 4**(d-1) - 2(2d**2 + 3d + 4) * 3**(d-3)) / (d+1);
-    - n = 2d-1: 2**(d-2) * C(2d-1, d-2);
-    - n = 2d: Cat(d).
+    - n = d+j, j = 1..8: the sum of P_i(d) * i**d over i = 1..j, from
+      the table ``_FEW_ASCENTS``; d+1 is the decreasing word, and d+2 is
+      2**(d+2) - (d+1)(d+2) - 2.
 
-    The sizes d+2 and 2d are the paper's counts.  The rows d+1..d+6 are
-    fitted to the scan by ``scripts/derive_forms.py`` under a degree bound
-    the tests compute for every row; the forms at 2d-3, 2d-2 and 2d-1 were
-    guessed from exact counts.  ``tests/test_minimal.py::TestCountBasis``
+    The four diagonal forms are the cheapest (a microsecond or less,
+    against 10 us or more for rows 7 and 8 of the table), so they are tried
+    first.  The sizes d+2 and 2d are the paper's counts.  The rows
+    d+1..d+8 are fitted to the scan by ``scripts/derive_forms.py`` under a
+    degree bound the tests compute for every row; the forms at 2d-3, 2d-2
+    and 2d-1 were guessed from exact counts.  ``tests/test_minimal.py::TestCountBasis``
     pins every form against the scan.  The divisions are exact.  Where two
-    sizes coincide, as d+3 = 2d at d = 3, their forms agree.
+    sizes coincide, as d+3 = 2d at d = 3, their forms agree, so the order
+    in which they are tried changes no count.
 
     >>> [count_basis(4, n) for n in range(5, 9)]
     [1, 32, 84, 14]
@@ -282,20 +301,20 @@ def count_basis(d: int, n: int) -> int:
         raise ValueError("d must be at least 1")
     if not d + 1 <= n <= 2 * d:
         return 0
-    if n - d <= len(_FEW_ASCENTS):
-        den, polys = _FEW_ASCENTS[n - d - 1]
-        return sum(i**d * sum(c * d**k for k, c in enumerate(q)) for i, q in enumerate(polys, 1)) // den
+    if n == 2 * d:
+        return comb(2 * d, d) // (d + 1)
+    if n == 2 * d - 1:
+        return 2 ** (d - 2) * comb(2 * d - 1, d - 2)
+    if n == 2 * d - 2:
+        catalan = comb(2 * d - 2, d - 1) // d
+        return catalan * ((d + 1) * 4 ** (d - 1) - 2 * (2 * d * d + 3 * d + 4) * 3 ** (d - 3)) // (d + 1)
     if n == 2 * d - 3:
         catalan = comb(2 * d - 2, d - 1) // d
         scaled = 27 * (9 * d * d + 19 * d + 22) * 4**d + 64 * (d - 8) * (d + 1) * 6**d
         return catalan * scaled // (13824 * (d + 1))
-    if n == 2 * d - 2:
-        catalan = comb(2 * d - 2, d - 1) // d
-        return catalan * ((d + 1) * 4 ** (d - 1) - 2 * (2 * d * d + 3 * d + 4) * 3 ** (d - 3)) // (d + 1)
-    if n == 2 * d - 1:
-        return 2 ** (d - 2) * comb(2 * d - 1, d - 2)
-    if n == 2 * d:
-        return comb(2 * d, d) // (d + 1)
+    if n - d <= len(_FEW_ASCENTS):
+        den, polys = _FEW_ASCENTS[n - d - 1]
+        return sum(i**d * sum(c * d**k for k, c in enumerate(q)) for i, q in enumerate(polys, 1)) // den
     return _rank_scan(d, n)[n]
 
 
@@ -303,13 +322,13 @@ def count_table(d: int) -> dict[int, int]:
     """Numbers of minimal permutations with d descents, size by size.
 
     The whole table ``{n: count_basis(d, n)}`` for n = d+1 .. 2d.  The
-    sizes d+1..d+6 and 2d-3..2d come from the closed forms of
-    ``count_basis``.  The sizes d+7..2d-4 between them, non-empty from
-    d = 11 on, are read off one left-to-right rank scan of that band
+    sizes d+1..d+8 and 2d-3..2d come from the closed forms of
+    ``count_basis``.  The sizes d+9..2d-4 between them, non-empty from
+    d = 13 on, are read off one left-to-right rank scan of that band
     instead of one scan per size: at each length, the prefixes that have
     just used their d-th descent are the members of that size.  Such a
     prefix cannot grow (an ascent needs a later descent), so it is counted
-    and dropped.  The band's members have 6 to d-5 ascents, which is the
+    and dropped.  The band's members have 8 to d-5 ascents, which is the
     slack floor and the ascent cap of the scan.
 
     >>> count_table(4)
@@ -319,7 +338,7 @@ def count_table(d: int) -> dict[int, int]:
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    band = range(d + 7, 2 * d - 3)
+    band = range(d + len(_FEW_ASCENTS) + 1, 2 * d - 3)
     scanned = _rank_scan(d, band[0], band[-1]) if band else {}
     return {n: scanned[n] if n in band else count_basis(d, n) for n in range(d + 1, 2 * d + 1)}
 

@@ -97,18 +97,32 @@ BLOCK_MOVES = {
 HELD = {EMPTY: 0, ONE: 1, ONE_MAX2: 1, MANY: 2, MANY_MAX2: 2, CLOSED: 2}
 
 
-def block_moves(states: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The tuples of block states one handed-out value can lead to.
+def block_steps(j: int) -> list[tuple[int, list[list[int]]]]:
+    """The moves of j blocks whose states are packed into one int s.
 
-    The first block has no left neighbour and may always move.  A value
-    kept by a looping block leaves the tuple as it was.
+    Each block is one octal digit of s: block t is digit t + 1, and digit 0
+    is a closed block left of the first, which may therefore always move.
+    So j empty blocks are the int CLOSED.  Entry t is (3t, table), and
+    table[s >> 3t & 0o77], keyed by the digits of block t and its left
+    neighbour, lists what block t's moves add to s.  A value kept by a
+    looping block leaves s as it is; such moves are not listed, and s has
+    one per octal digit MANY (``looping``).
     """
-    return [
-        (*states[:t], to, *states[t + 1 :])
-        for t, state in enumerate(states)
-        for to, needs in BLOCK_MOVES[state]
-        if (HELD[states[t - 1]] if t else 2) >= needs
-    ]
+    steps = []
+    for t in range(j):
+        table: list[list[int]] = [[] for _ in range(64)]
+        for state, moves in BLOCK_MOVES.items():
+            for left, held in HELD.items():
+                table[state << 3 | left] = [
+                    (to - state) << 3 * t + 3 for to, needs in moves if to != state and held >= needs
+                ]
+        steps.append((3 * t, table))
+    return steps
+
+
+def looping(s: int) -> int:
+    """The looping blocks of a packed state, the values that keep it as it is."""
+    return f"{s:o}".count(str(MANY))
 
 
 def block_count(d: int, n: int) -> int:
@@ -126,14 +140,18 @@ def block_count(d: int, n: int) -> int:
     j = n - d
     if j < 1 or n > 2 * d:
         return 0
-    ways = {(EMPTY,) * j: 1}
+    steps = block_steps(j)
+    ways = {CLOSED: 1}
     for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for states, count in ways.items():
-            for key in block_moves(states):
-                nxt[key] = nxt.get(key, 0) + count
+        nxt: dict[int, int] = {}
+        for s, count in ways.items():
+            if loops := looping(s):
+                nxt[s] = nxt.get(s, 0) + loops * count
+            for shift, table in steps:
+                for step in table[s >> shift & 0o77]:
+                    nxt[s + step] = nxt.get(s + step, 0) + count
         ways = nxt
-    return ways.get((CLOSED,) * j, 0)
+    return ways.get(int(str(CLOSED) * (j + 1), 8), 0)
 
 
 def guessed_2d_minus_3(d: int) -> tuple[int, int]:

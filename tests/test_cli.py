@@ -229,7 +229,7 @@ class TestEnumerate:
 
     def test_count_only_far_beyond_listing(self, capsys):
         # (30, 45) has 77.5 million descent compositions; (1200, 1201) one of
-        # 1201 elements.  The sizes d+1..d+6 and 2d-3..2d are answered in
+        # 1201 elements.  The sizes d+1..d+8 and 2d-3..2d are answered in
         # closed form; a scan of (400, 403) or (300, 598) would take
         # 20-50 s.  None may take long.
         for d, n, want in (
@@ -282,7 +282,7 @@ class TestEnumerate:
         assert sys.get_int_max_str_digits() == limit
 
     def test_large_table_from_one_scan(self, capsys, monkeypatch):
-        # One scan of the band 47..76 gives the 30 sizes that have no closed
+        # One scan of the band 49..76 gives the 28 sizes that have no closed
         # form: the table makes a single band call of the rank scan, not one
         # per size.
         scan, calls = permdl.minimal._rank_scan, []
@@ -293,7 +293,7 @@ class TestEnumerate:
 
         monkeypatch.setattr(permdl.minimal, "_rank_scan", counted)
         code, out, _ = run(capsys, "enumerate", "-d", "40")
-        assert calls == [(40, 47, 76)]
+        assert calls == [(40, 49, 76)]
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "# d=40 sizes 41..80"

@@ -28,15 +28,21 @@ from permdl import minimal
 from permdl.minimal import _rank_scan, _window_failure
 
 from helpers import (
-    EMPTY,
-    MANY,
+    CLOSED,
     block_count,
-    block_moves,
+    block_steps,
     composition_count,
     definition_minimal,
     diamond_split_by_posets,
     guessed_2d_minus_3,
+    looping,
 )
+
+
+# The rows n = d+1 .. d+ROWS of the closed-form table.
+ROWS = len(minimal._FEW_ASCENTS)
+# Slices that more than one test pins against the scan are scanned once.
+scanned = functools.cache(_rank_scan)
 
 
 def closed_form_slice_count(d: int) -> int:
@@ -253,7 +259,7 @@ class TestCountBasis:
         for d in range(1, 21):
             calls.clear()
             count_table(d)
-            assert calls == ([] if d <= 10 else [(d, d + 7, 2 * d - 4)]), d
+            assert calls == ([] if d <= 12 else [(d, d + 9, 2 * d - 4)]), d
 
     def test_table_rejects_bad_d(self):
         for d in (0, -1):
@@ -268,8 +274,8 @@ class TestCountBasis:
     def test_closed_forms_to_d_60(self):
         # count_basis answers these sizes in closed form; the scan is the oracle.
         for d in range(1, 61):
-            assert _rank_scan(d, d + 1)[d + 1] == count_basis(d, d + 1) == 1
-            assert _rank_scan(d, d + 2).get(d + 2, 0) == count_basis(d, d + 2) == closed_form_slice_count(d)
+            assert scanned(d, d + 1)[d + 1] == count_basis(d, d + 1) == 1
+            assert scanned(d, d + 2).get(d + 2, 0) == count_basis(d, d + 2) == closed_form_slice_count(d)
             if 2 <= d <= 40:  # scanning on to d = 60 would add about 2 s
                 want = 2 ** (d - 2) * comb(2 * d - 1, d - 2)
                 assert _rank_scan(d, 2 * d - 1)[2 * d - 1] == count_basis(d, 2 * d - 1) == want
@@ -280,14 +286,24 @@ class TestCountBasis:
     # 60; rows 1 and 2 are scanned to d = 60 in test_closed_forms_to_d_60.
     @pytest.mark.parametrize(
         "size",
-        [*(lambda d, j=j: d + j for j in range(3, 7)), lambda d: 2 * d - 3, lambda d: 2 * d - 2],
-        ids=[*(f"d+{j}" for j in range(3, 7)), "2d-3", "2d-2"],
+        [*(lambda d, j=j: d + j for j in range(3, ROWS + 1)), lambda d: 2 * d - 3, lambda d: 2 * d - 2],
+        ids=[*(f"d+{j}" for j in range(3, ROWS + 1)), "2d-3", "2d-2"],
     )
     def test_guessed_forms_match_the_scan(self, size):
         for d in [*range(1, 41), 60]:
             n = size(d)
             if d < n <= 2 * d:
-                assert _rank_scan(d, n)[n] == count_basis(d, n), d
+                assert scanned(d, n)[n] == count_basis(d, n), d
+
+    @pytest.mark.parametrize("j", range(1, ROWS + 1))
+    def test_each_row_matches_the_scan_where_feasible(self, j):
+        # count_basis answers 2d-3..2d before the rows, so it never reads
+        # row j at d <= j + 3; the row itself is pinned on its whole
+        # feasible range d >= j here, evaluated without count_basis.
+        den, polys = minimal._FEW_ASCENTS[j - 1]
+        for d in [*range(j, 41), 60]:
+            total = sum(i**d * sum(c * d**k for k, c in enumerate(q)) for i, q in enumerate(polys, 1))
+            assert divmod(total, den) == (scanned(d, d + j)[d + j], 0), d
 
     def test_2d_minus_3_is_the_guessed_form(self):
         for d in range(4, 201):
@@ -310,9 +326,9 @@ class TestCountBasis:
             raise AssertionError(f"_rank_scan{args} called")
 
         monkeypatch.setattr(minimal, "_rank_scan", refuse)
-        below = [0] * 7
+        below = [0] * (ROWS + 1)
         for d in range(1, 401):
-            for j in range(1, min(d, 6) + 1):
+            for j in range(1, min(d, ROWS) + 1):
                 count = count_basis(d, d + j)
                 assert count >= max(below[j], 1), (d, j)
                 below[j] = count
@@ -327,22 +343,25 @@ class TestCountBasis:
     def test_degree_bound_of_the_rows(self):
         # scripts/derive_forms.py fits row j under deg P_i + 1 <= the most
         # states with i looping blocks (MANY) on one path of block moves
-        # from (EMPTY,)*j to (CLOSED,)*j; the bound is computed here for
-        # every row of the table and i = 0..j, and is 3(j - i) + 1 exactly.
-        # A looping block keeping a value is a self-loop, not a new state.
-        # Every other tuple has a move (the leftmost block not yet closed
-        # always may), and blocks only move forward, so every path ends at
-        # (CLOSED,)*j.
-        for j in range(1, len(minimal._FEW_ASCENTS) + 1):
+        # from j empty blocks to j closed ones; the bound is computed here
+        # for every row of the table and i = 0..j, and is 3(j - i) + 1
+        # exactly.  A looping block keeping a value is a self-loop, not a
+        # new state.  Every other state has a move (the leftmost block not
+        # yet closed always may), and blocks only move forward, so every
+        # path ends with every block closed.  States are packed one octal
+        # digit per block (see block_steps in helpers.py).
+        for j in range(1, ROWS + 1):
+            steps = block_steps(j)
 
             @functools.cache
-            def most(states: tuple[int, ...]) -> tuple[int, ...]:
-                # Per i, the most states with i looping blocks on a path from states on.
-                tails = [most(to) for to in block_moves(states) if to != states]
-                loops = states.count(MANY)
-                return tuple((loops == i) + max((t[i] for t in tails), default=0) for i in range(j + 1))
+            def most(s: int) -> tuple[int, ...]:
+                # Per i, the most states with i looping blocks on a path from s on.
+                tails = [most(s + step) for shift, table in steps for step in table[s >> shift & 0o77]]
+                best = [max(column) for column in zip(*tails)] or [0] * (j + 1)
+                best[looping(s)] += 1
+                return tuple(best)
 
-            assert most((EMPTY,) * j) == tuple(3 * (j - i) + 1 for i in range(j + 1)), j
+            assert most(CLOSED) == tuple(3 * (j - i) + 1 for i in range(j + 1)), j
 
     def test_zero_outside_d_plus_1_to_2d(self):
         for d in range(1, 61):
