@@ -254,6 +254,14 @@ _FEW_ASCENTS = (
 )
 
 
+def _horner(coefficients: tuple[int, ...], x: int) -> int:
+    # The polynomial with these coefficients, lowest degree first, at x.
+    value = 0
+    for c in reversed(coefficients):
+        value = value * x + c
+    return value
+
+
 def count_basis(d: int, n: int) -> int:
     """Number of size-n minimal permutations with d descents.
 
@@ -285,11 +293,12 @@ def count_basis(d: int, n: int) -> int:
       2**(d+2) - (d+1)(d+2) - 2.
 
     The four diagonal forms are the cheapest (a microsecond or less,
-    against 10 us or more for rows 7 and 8 of the table), so they are tried
-    first.  The sizes d+2 and 2d are the paper's counts.  The rows
-    d+1..d+8 are fitted to the scan by ``scripts/derive_forms.py`` under a
-    degree bound the tests compute for every row; the forms at 2d-3, 2d-2
-    and 2d-1 were guessed from exact counts.  ``tests/test_minimal.py::TestCountBasis``
+    against several microseconds for rows 7 and 8 of the table, each
+    polynomial evaluated by Horner's rule), so they are tried first.  The
+    sizes d+2 and 2d are the paper's counts.  The rows d+1..d+8 are fitted
+    to the scan by ``scripts/derive_forms.py`` under a degree bound the
+    tests compute for every row; the forms at 2d-3, 2d-2 and 2d-1 were
+    guessed from exact counts.  ``tests/test_minimal.py::TestCountBasis``
     pins every form against the scan.  The divisions are exact.  Where two
     sizes coincide, as d+3 = 2d at d = 3, their forms agree, so the order
     in which they are tried changes no count.
@@ -314,7 +323,7 @@ def count_basis(d: int, n: int) -> int:
         return catalan * scaled // (13824 * (d + 1))
     if n - d <= len(_FEW_ASCENTS):
         den, polys = _FEW_ASCENTS[n - d - 1]
-        return sum(i**d * sum(c * d**k for k, c in enumerate(q)) for i, q in enumerate(polys, 1)) // den
+        return sum(i**d * _horner(q, d) for i, q in enumerate(polys, 1)) // den
     return _rank_scan(d, n)[n]
 
 

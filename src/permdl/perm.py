@@ -209,7 +209,9 @@ def remove_element(p: Permutation, index: int) -> Permutation:
         raise ValueError("cannot remove from a permutation of size 1")
     if not 1 <= index <= p.n:
         raise ValueError(f"index {index} out of range 1..{p.n}")
-    return standardize(p.values[: index - 1] + p.values[index:])
+    values = p.values
+    v = values[index - 1]
+    return Permutation._trusted(tuple([x - (x > v) for x in values[: index - 1] + values[index:]]))
 
 
 def identity(n: int) -> Permutation:

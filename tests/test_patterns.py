@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,8 @@ from permdl import (
     Permutation,
     all_permutations,
     avoids_basis,
+    count_table,
+    descent_count,
     descents,
     enumerate_basis,
     involves,
@@ -19,6 +22,7 @@ from permdl import (
     parse_permutation,
     random_evolution,
     reachable_within,
+    remove_element,
 )
 
 from helpers import subsequence_patterns
@@ -83,7 +87,59 @@ class TestInvolves:
             assert tuple(ranks[v] for v in sub) == pattern.values
 
 
+def pairwise_antichain_error(patterns):
+    # The check PatternBasis made before it walked deletions, kept as the
+    # oracle: one involves search per smaller-into-larger pair, in (size,
+    # values) order; the first hit is the pair the error names.
+    members = sorted(patterns, key=lambda p: (p.n, p.values))
+    for a, b in itertools.combinations(members, 2):
+        if a.n < b.n and involves(a, b):
+            return f"not an antichain: {a} occurs in {b}"
+    return None
+
+
+def random_pattern_set(rng):
+    # Up to 8 patterns: random ones with sizes in a random window of 1..6
+    # (a window of one size is always an antichain), or part of B_2 or B_3
+    # (always an antichain, over two or three sizes).  A quarter of the sets
+    # then get a pattern reached by deleting entries of a member, which
+    # never leaves an antichain.
+    k = rng.randint(0, 8)
+    if rng.random() < 0.4:
+        members = sorted(minimal_basis(rng.randint(2, 3)).patterns, key=lambda p: (p.n, p.values))
+        patterns = set(rng.sample(members, min(k, len(members))))
+    else:
+        lo = rng.randint(1, 6)
+        hi = rng.randint(lo, 6)
+        sizes = [rng.randint(lo, hi) for _ in range(k)]
+        patterns = {Permutation(tuple(rng.sample(range(1, n + 1), n))) for n in sizes}
+    if patterns and rng.random() < 0.25:
+        q = rng.choice(sorted(patterns, key=lambda p: p.values))
+        for _ in range(rng.randint(1, q.n - 1) if q.n > 1 else 0):
+            q = remove_element(q, rng.randint(1, q.n))
+        patterns.add(q)
+    return patterns
+
+
 class TestPatternBasis:
+    def test_walk_matches_the_pairwise_search(self):
+        outcomes = []
+        for seed in range(600):
+            patterns = random_pattern_set(random.Random(seed))
+            want = pairwise_antichain_error(patterns)
+            if want is None:
+                assert PatternBasis(frozenset(patterns)).patterns == patterns, seed
+            else:
+                with pytest.raises(ValueError) as excinfo:
+                    PatternBasis(frozenset(patterns))
+                assert str(excinfo.value) == want, seed
+            outcomes.append(want is None)
+        assert 150 <= sum(outcomes) <= 450
+
+    def test_all_of_b5_is_an_antichain(self):
+        # 1,485 members; the pairwise search needed about 1.1 million involves calls.
+        assert len(minimal_basis(5).patterns) == sum(count_table(5).values()) == 1485
+
     def test_antichain_enforced(self):
         with pytest.raises(ValueError):
             PatternBasis(frozenset({Permutation((2, 1)), Permutation((3, 2, 1))}))
@@ -109,10 +165,13 @@ class TestPatternBasis:
                 assert avoids_basis(p, basis) == (descents(p).count <= 1)
 
 
-def basis_for_steps(p):
-    # B_{2^p}: the minimal permutations with 2^p descents, of sizes 2^p+1..2^(p+1).
-    d = 1 << p
+def minimal_basis(d):
+    # B_d: the minimal permutations with d descents, of sizes d+1..2d.
     return PatternBasis(frozenset(m for n in range(d + 1, 2 * d + 1) for m in enumerate_basis(d, n).members))
+
+
+def basis_for_steps(p):
+    return minimal_basis(1 << p)
 
 
 class TestBasisTheorem:
@@ -129,6 +188,12 @@ class TestBasisTheorem:
             assert avoids_basis(host, basis) == expected, host
             seen.add(expected)
         assert seen == {True, False}
+
+    def test_avoidance_is_fewer_than_d_descents_for_d_not_a_power_of_two(self):
+        basis = minimal_basis(3)
+        for n in range(1, 7):
+            for host in all_permutations(n):
+                assert avoids_basis(host, basis) == (descent_count(host.values) < 3), host
 
     def test_antichain_message_names_the_pair(self):
         patterns = basis_for_steps(2).patterns | {parse_permutation("2 1 4 3 6 5")}

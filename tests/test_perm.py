@@ -204,6 +204,12 @@ class TestRemoveElement:
         with pytest.raises(ValueError):
             remove_element(Permutation((1,)), 1)
 
+    def test_matches_rank_definition(self):
+        for n in range(2, 7):
+            for p in all_permutations(n):
+                for i in range(1, n + 1):
+                    assert remove_element(p, i).values == standardized(p.values[: i - 1] + p.values[i:])
+
     @given(perms, st.data())
     def test_removal_drops_descents_by_at_most_one(self, p, data):
         if p.n == 1:

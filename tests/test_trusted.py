@@ -35,6 +35,7 @@ from permdl import (
     phi1,
     phi2,
     random_evolution,
+    remove_element,
     standardize,
     synthesize_scenario,
 )
@@ -74,6 +75,13 @@ def test_standardize():
     for p in all_permutations(5):
         for kept in itertools.combinations(p.values, 3):
             rebuilt(standardize(kept))
+
+
+def test_remove_element():
+    for n in range(2, 7):
+        for p in all_permutations(n):
+            for i in range(1, n + 1):
+                rebuilt(remove_element(p, i))
 
 
 def test_parse_permutation():
