@@ -81,6 +81,35 @@ def occurrences(
     return list(itertools.islice(map(Occurrence, _occurrence_indices(pattern.values, host.values)), limit))
 
 
+# The antichain walk may make this many single deletions per
+# smaller-into-larger pair of members before the pairwise search, one
+# ``involves`` per pair, takes over as the cheaper check.
+_DELETIONS_PER_PAIR = 1
+
+
+def _deletions_below(patterns: frozenset[Permutation]) -> set[Permutation] | None:
+    # Every pattern reached by deleting entries of a member, at the sizes
+    # from one below the largest member down to one above the smallest;
+    # None once that needs more than the deletions the pairs allow.
+    by_size: dict[int, list[Permutation]] = {}
+    for p in patterns:
+        by_size.setdefault(p.n, []).append(p)
+    budget = larger = 0
+    for n in sorted(by_size, reverse=True):
+        budget += _DELETIONS_PER_PAIR * len(by_size[n]) * larger
+        larger += len(by_size[n])
+    below: set[Permutation] = set()
+    level: set[Permutation] = set()
+    for n in range(max(by_size, default=0), min(by_size, default=0), -1):
+        sources = (*level, *by_size.get(n, ()))
+        budget -= len(sources) * n
+        if budget < 0:
+            return None
+        level = {remove_element(q, i) for q in sources for i in range(1, n + 1)}
+        below |= level
+    return below
+
+
 @dataclass(frozen=True)
 class PatternBasis:
     """A finite antichain of patterns: none may occur inside another.
@@ -91,31 +120,35 @@ class PatternBasis:
     of single deletions (``remove_element``) of the members of that size
     and of the level above, and every level joins one set ``below``.  The
     patterns form an antichain exactly when no member lies in ``below``.
-    The cost is one deletion per entry of each distinct pattern met on the
-    way down and no occurrence search: for the 131 members of B_4, 2,586
-    deletions and a few milliseconds, against 4,442 ``involves`` searches
-    for a check pair by pair.  Only a failed check searches, to name the
-    first offending pair in (size, values) order.
+    The walk makes one deletion per entry of each distinct pattern met on
+    the way down and no occurrence search: for the 131 members of B_4,
+    2,586 deletions and a few milliseconds, against 4,442 ``involves``
+    searches for a check pair by pair.
+
+    The walk's cost grows with the gap between member sizes, not with the
+    number of pairs: a member of size m has up to C(m, k) distinct patterns
+    of size k, so ``1 2`` beside one member of size 30 would meet about
+    2**30.  The walk therefore stops once it would make more deletions than
+    there are smaller-into-larger pairs, and the check falls back to one
+    ``involves`` search per pair.  A failed check, by either route, names
+    the first offending pair in (size, values) order.
     """
 
     patterns: frozenset[Permutation]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patterns", frozenset(self.patterns))
-        by_size: dict[int, list[Permutation]] = {}
-        for p in self.patterns:
-            by_size.setdefault(p.n, []).append(p)
-        below: set[Permutation] = set()
-        level: set[Permutation] = set()
-        for n in range(max(by_size, default=0), min(by_size, default=0), -1):
-            level = {remove_element(q, i) for q in (*level, *by_size.get(n, ())) for i in range(1, n + 1)}
-            below |= level
-        if below.isdisjoint(self.patterns):
+        below = _deletions_below(self.patterns)
+        if below is not None and below.isdisjoint(self.patterns):
             return
+        # Only members the walk reached (all, when it stopped early) are
+        # searched for, each in the larger members, smallest first.
         members = sorted(self.patterns, key=lambda p: (p.n, p.values))
-        a = next(p for p in members if p in below)
-        b = next(p for p in members if p.n > a.n and involves(a, p))
-        raise ValueError(f"not an antichain: {a} occurs in {b}")
+        for a in members:
+            if below is None or a in below:
+                b = next((p for p in members if p.n > a.n and involves(a, p)), None)
+                if b is not None:
+                    raise ValueError(f"not an antichain: {a} occurs in {b}")
 
 
 def avoids_basis(host: Permutation, basis: PatternBasis) -> bool:

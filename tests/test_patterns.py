@@ -1,10 +1,12 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import permdl
 from permdl import (
     Occurrence,
     PatternBasis,
@@ -121,8 +123,22 @@ def random_pattern_set(rng):
     return patterns
 
 
+def two_run_host(n, seed):
+    # A size-n permutation that avoids 3 2 1 yet has many distinct
+    # patterns: two increasing runs merged at random positions.
+    rng = random.Random(seed)
+    positions = set(rng.sample(range(n), n // 2))
+    chosen = set(rng.sample(range(1, n + 1), n // 2))
+    first = iter(sorted(chosen))
+    second = iter(sorted(set(range(1, n + 1)) - chosen))
+    return Permutation(tuple(next(first) if i in positions else next(second) for i in range(n)))
+
+
 class TestPatternBasis:
-    def test_walk_matches_the_pairwise_search(self):
+    # The walk alone, the pairwise search alone, and the default switch.
+    @pytest.mark.parametrize("per_pair", [10**9, 0, 1], ids=["walk", "pairwise", "default"])
+    def test_walk_matches_the_pairwise_search(self, monkeypatch, per_pair):
+        monkeypatch.setattr(permdl.patterns, "_DELETIONS_PER_PAIR", per_pair)
         outcomes = []
         for seed in range(600):
             patterns = random_pattern_set(random.Random(seed))
@@ -136,9 +152,38 @@ class TestPatternBasis:
             outcomes.append(want is None)
         assert 150 <= sum(outcomes) <= 450
 
-    def test_all_of_b5_is_an_antichain(self):
-        # 1,485 members; the pairwise search needed about 1.1 million involves calls.
+    def test_all_of_b5_is_an_antichain(self, monkeypatch):
+        # 1,485 members and 637,112 smaller-into-larger pairs; the walk
+        # decides with 47,152 deletions and no involves search.
+        def no_search(pattern, host):
+            raise AssertionError("searched a pair")
+
+        monkeypatch.setattr(permdl.patterns, "involves", no_search)
         assert len(minimal_basis(5).patterns) == sum(count_table(5).values()) == 1485
+
+    @pytest.mark.parametrize("small", ["3 2 1", "1 2", "1"])
+    def test_far_apart_sizes_fall_back_to_the_pair(self, monkeypatch, small):
+        # Beside one member of size 30 the walk would meet up to C(30, k)
+        # patterns at size k; with one pair it must stop at once and search.
+        made = itertools.count()
+
+        def counted(p, index):
+            assert next(made) < 100, "the walk did not stop"
+            return remove_element(p, index)
+
+        monkeypatch.setattr(permdl.patterns, "remove_element", counted)
+        pattern, host = parse_permutation(small), two_run_host(30, 0)
+        want = pairwise_antichain_error({pattern, host})
+        start = time.perf_counter()
+        if small == "3 2 1":
+            assert want is None
+            assert PatternBasis(frozenset({pattern, host})).patterns == {pattern, host}
+        else:
+            assert want == f"not an antichain: {pattern} occurs in {host}"
+            with pytest.raises(ValueError) as excinfo:
+                PatternBasis(frozenset({pattern, host}))
+            assert str(excinfo.value) == want
+        assert time.perf_counter() - start < 5
 
     def test_antichain_enforced(self):
         with pytest.raises(ValueError):
