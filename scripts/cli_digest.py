@@ -25,7 +25,8 @@ sizes 1,000 and 10,000 (501 and 5,001 runs), ``bijection dyck`` on those two
 paths and members both ways, counts at sizes d+3 and 2d-2
 for d = 10, 20, 30 and 40, counts past 4,300 digits, the json listing of the
 (13, 15) slice (32,556 members, two text chunks) whole and cut at 20,000,
-and the refusals.  It also holds the flags a request would ignore, which are
+the plain (7, 11) and (15, 17) listings and the depth-10 tree, and the
+refusals.  It also holds the flags a request would ignore, which are
 usage errors: ``stats --grid --format json|csv`` for each permutation of
 ``PERMS``, and ``bijection phi1|phi2 --invert`` beside ``-d`` (phi1 with
 its member's own d, phi2 with another).  Refusals that checkouts older than the diagonal listing
@@ -103,6 +104,14 @@ JSON_LISTINGS = [
     ["enumerate", "-d", "13", "-n", "15", "--format", "json", "--limit", "20000"],
 ]
 
+# The largest plain listings and tree the benchmark times: 143,616 and
+# 130,798 members, and 23,713 nodes, each past one text chunk.
+LARGE_LISTINGS = [
+    ["enumerate", "-d", "7", "-n", "11"],
+    ["enumerate", "-d", "15", "-n", "17"],
+    ["bijection", "tree", "--depth", "10"],
+]
+
 # Hosts with many runs: Dyck members of sizes 1,000 and 10,000.
 MANY_RUNS = ["UUDUDD" * 166 + "UUDD", "UUDD" * 2500]
 
@@ -149,7 +158,7 @@ def corpus(max_d: int) -> list[list[str]]:
         out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
     out += [["bijection", "phi1", "", "-d", "3"], ["bijection", "phi2", " ", "-d", "3"]]
     out += [["bijection", "phi1", "--invert", "8 5 4 3 9 7 6 2 1", "-d", "7"], ["bijection", "phi2", "--invert", "7 6 2 1 5 4 3", "-d", "99"]]
-    return out + DIAGONAL_COUNTS + JSON_LISTINGS + REFUSALS + LARGE_COUNTS
+    return out + DIAGONAL_COUNTS + JSON_LISTINGS + LARGE_LISTINGS + REFUSALS + LARGE_COUNTS
 
 
 def run(argv: list[str]) -> dict:

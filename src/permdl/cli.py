@@ -3,8 +3,10 @@
 Every command is deterministic for fixed arguments (including --seed), and
 identical invocations print byte-identical output.  Slice listings come from
 the labellings of the shape posets, the one production enumeration route,
-and every format is written from the text chunks of those packed words: the
-library built them, so they are not checked again on the way out.
+as sorted rows of digits, and every format is written from the
+text chunks of those rows: the library built them, so they are not checked
+again on the way out.  The plain generating tree is walked as rows of
+digits too and written through the same renderer.
 
 One cap rule bounds every request: an answer is built whole in memory before
 it is printed, so one with more than MAX_LISTED parts is refused before
@@ -60,8 +62,8 @@ from .duploss import (
 from .minimal import count_basis, count_table, is_minimal
 from .perm import _integers, descents, maximal_runs, parse_permutation
 from .posets import (
-    _CHUNK_LINES,
     DescentComposition,
+    _line_chunks,
     _slice_words,
     _word_chunks,
     build_poset,
@@ -227,26 +229,26 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             count = count_basis(e, e + j)
             least = "" if e == d else "at least "
             _refuse_over(count, f"the d={d} n={n} slice has {least}{count} members", "a listing", hint)
-    words = _slice_words(d, n)
-    truncated = args.limit is not None and len(words) > args.limit
-    shown = words[: args.limit] if truncated else words
+    rows = _slice_words(d, n)
+    truncated = args.limit is not None and len(rows) > args.limit
+    shown = rows[: args.limit] if truncated else rows
     if args.format == "json":
         # json.dumps's text, written around the plain chunks: each line is
         # one list, its values and the lists separated by ", ".
-        sys.stdout.write(json.dumps({"d": d, "n": n, "count": len(words)})[:-1] + ', "members": [')
+        sys.stdout.write(json.dumps({"d": d, "n": n, "count": len(rows)})[:-1] + ', "members": [')
         for i, chunk in enumerate(_word_chunks(shown, n)):
             sys.stdout.write((", [" if i else "[") + chunk[:-1].replace(" ", ", ").replace("\n", "], [") + "]")
         print("]" + (', "truncated": true' if truncated else "") + "}")
         return 0
     if args.format == "csv":
-        # The rows are the plain lines, each after its index.  zip draws a
-        # line first, so no index is lost at the end of a chunk.
+        # The CSV rows are the plain lines, each after its index.  zip
+        # draws a line first, so no index is lost at the end of a chunk.
         print("index,permutation")
         index = itertools.count(1)
         for chunk in _word_chunks(shown, n):
             sys.stdout.write("".join(f"{i},{line}\n" for line, i in zip(chunk.splitlines(), index)))
     else:
-        print(f"# d={d} n={n} count={len(words)}")
+        print(f"# d={d} n={n} count={len(rows)}")
         sys.stdout.writelines(_word_chunks(shown, n))
     if truncated:
         print(f"# truncated at {args.limit}")
@@ -366,23 +368,29 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
         print(json.dumps({"depth": args.depth, "root": _tree_json(eco_root(), args.depth)}))
         return 0
 
-    # Depth first, children in order, from a stack of (node, indent); the
-    # values of the nodes are at most 2 * depth.
-    render = _word_renderer(2 * args.depth)
-    deepest = "  " * (args.depth - 1)
+    # Depth first, children in order, from a stack of rows: a size-2t node
+    # is the bytes of its values, and its child with new last value i is
+    # the node with every value >= i bumped up by one, then 2t+2 and i
+    # (see eco_children).  Values stay at most 2 * depth, far below 256,
+    # and only the i in 2..2*depth-1 bump: the last entry of a table is
+    # never read.
+    top = 2 * args.depth
+    bump = {i: bytes(range(i)) + bytes(range(i + 1, 256)) + b"\0" for i in range(2, top)}
+    # A line is its row after one digit top+1, named "  ", per level below
+    # the root.
+    indents = {2 * t: bytes([top + 1]) * (t - 1) for t in range(1, args.depth + 1)}
 
-    def walk() -> Iterator[str]:
-        stack = [(eco_root(), "")]
+    def walk() -> Iterator[bytes]:
+        stack = [b"\x02\x01"]
         while stack:
-            node, indent = stack.pop()
-            yield indent + render(node.perm.values)
-            if indent != deepest:
-                stack += [(kid, indent + "  ") for kid in reversed(eco_children(node))]
+            row = stack.pop()
+            size = len(row)
+            yield indents[size] + row
+            if size < top:
+                label = size + 1 - row[-1]
+                stack += [row.translate(bump[i]) + bytes((size + 2, i)) for i in range(size + 2 - label, size + 2)]
 
-    # Many short lines: a few large writes cost less than a print per line.
-    lines = walk()
-    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-        sys.stdout.write("\n".join(chunk) + "\n")
+    sys.stdout.writelines(_line_chunks(walk(), ["\n", *(f"{v} " for v in range(1, top + 1)), "  "]))
     print(f"level sizes: {' '.join(str(s) for s in sizes)}")
     return 0
 

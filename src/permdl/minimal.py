@@ -10,8 +10,8 @@ played against each other in tests.
 
 Minimal permutations with d descents have sizes between d+1 and 2d.  Each
 slice is enumerated from the authorized labellings of the shape posets of
-its descent compositions, peeled as packed integer words and sorted as
-integers.  ``enumerate_basis_brute`` filters all n! permutations instead;
+its descent compositions, peeled as rows of digits and sorted as byte
+strings.  ``enumerate_basis_brute`` filters all n! permutations instead;
 it is kept as the oracle the tests and the golden files check the
 labelling route against.  ``count_basis`` counts a slice without listing
 it: since the window rules are local, it scans left to right over the
@@ -163,12 +163,12 @@ def enumerate_basis(d: int, n: int) -> BasisSlice:
 
     Sizes outside d+1 .. 2d yield an empty slice.  Members are the authorized
     labellings of the shape posets of all descent compositions, merged and
-    sorted lexicographically as packed words.  They are permutations by
+    sorted lexicographically as rows of digits.  They are permutations by
     construction, so they are wrapped without running the checks of
     ``Permutation`` again.
     """
-    words = _slice_words(d, n)
-    return BasisSlice(d, n, tuple(map(Permutation._trusted, _unpack(words, n))))
+    rows = _slice_words(d, n)
+    return BasisSlice(d, n, tuple(map(Permutation._trusted, _unpack(rows, n))))
 
 
 def _rank_scan(d: int, lo: int, hi: int | None = None) -> dict[int, int]:

@@ -13,21 +13,24 @@ smaller ones are exactly the minimal permutations with that descent
 composition, which is what makes these posets worth enumerating.  One
 down-set peel counts and lists them: it hands the values n..1 to maximal
 nodes, one per layer, and carries per remaining down-set either a count
-(``count_labellings``) or a list of partial labellings packed into
-integers (``authorized_labellings`` and the slice listings), which one
-integer add per word extends by a node.
+(``count_labellings``) or a buffer of partial labellings, one row of n+1
+digits each (``authorized_labellings`` and the slice listings), which one
+strided slice assignment per move extends by a node.
 
-This module owns that packed format: the digit width, the byte order, digit
-0 as the line break of a rendered listing, and the text chunks a listing is
-written in.  Callers get sorted words from ``_slice_words`` and text from
-``_word_chunks``, which every listing format is written from; only the
-library (``enumerate_basis``, ``authorized_labellings``) takes tuples from
-``_unpack``.  Every word reaches bytes through
-one join of ``int.to_bytes``.  Below n = 256, where digits are one byte,
-text is made with no Python step per word or digit: one ``bytes.translate``
-per character column of the value names, interleaved and stripped of
-padding.  Wider digits, which only slices of a few members reach, keep a
-join over the names of their digits.
+This module owns that row format: the digit width, the byte order, digit
+0 as the end of a row and the line break of a rendered listing, and the
+text chunks a listing is written in.  Callers get sorted rows from
+``_slice_words`` and text from ``_word_chunks``, which every listing
+format is written from; only the library (``enumerate_basis``,
+``authorized_labellings``) takes tuples from ``_unpack``.  Below n = 256,
+where digits are one byte, a sorted row is a latin-1 str of n characters
+(list.sort compares those with memcmp), and text is made with no Python
+step per word or digit: one ``bytes.translate`` per character column of
+the value names, interleaved and stripped of padding.  The plain
+generating tree is written through the same renderer (``_line_chunks``).
+Wider digits, which only one-member slices and single posets of 256 nodes
+or more reach, make rows of big-endian bytes and keep a join over the
+names of their digits.
 
 Covers are stored as (lower, upper) pairs of positions: the value at
 ``lower`` must be smaller than the value at ``upper``.
@@ -35,13 +38,14 @@ Covers are stored as (lower, upper) pairs of positions: the value at
 
 from __future__ import annotations
 
+import functools
 import graphlib
 import itertools
 import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .perm import Permutation
 
@@ -168,13 +172,13 @@ def _cover_offsets(poset: DiamondPoset) -> list[tuple[int, int]]:
 
 
 def _digit_code(n: int) -> str:
-    # Array type code of the digits of packed words over the values 1..n:
-    # one, two or four bytes each.
+    # Array type code of the digits of rows over the values 1..n: one, two
+    # or four bytes each.
     return "B" if n < 1 << 8 else "H" if n < 1 << 16 else "I"
 
 
 def _big_endian(digits: array) -> array:
-    # digits swapped in place between machine order and the packed words' big-endian.
+    # digits swapped in place between machine order and big-endian.
     if digits.itemsize > 1 and sys.byteorder == "little":
         digits.byteswap()
     return digits
@@ -185,11 +189,12 @@ def _peel(poset: DiamondPoset, seed, grow):
     # go one per layer to a maximal node of the remaining down-set, keyed by
     # its bitmask.  The whole poset carries seed, and a move that labels
     # node with value carries grow(carried, value, node); what reaches one
-    # down-set from several is summed (ints add, lists extend).
+    # down-set from several is summed: counts add, digit rows concatenate.
     offsets = _cover_offsets(poset)
     layer = {(1 << poset.size) - 1: seed}
     for value in range(poset.size, 0, -1):
-        below = defaultdict(type(seed))
+        # seed * 0 is the empty value of seed's kind: no ways, or no rows.
+        below = defaultdict(lambda: seed * 0)
         for mask, carried in layer.items():
             # The maximal nodes, those with no upper cover left in mask, from
             # one shift per cover offset: the loop below visits no other node.
@@ -205,103 +210,143 @@ def _peel(poset: DiamondPoset, seed, grow):
     return layer[0]
 
 
-def _packed_labellings(posets: Iterable[DiamondPoset], n: int) -> list[int]:
-    # The labellings of several posets on n nodes, merged and sorted, as
-    # packed words: position i is digit n+1-i in base 256**k, k the bytes
-    # of a _digit_code(n) digit, and digit 0 stays 0.  Numeric order is
-    # lexicographic order.  A layer of the peel holds one word per partial
-    # labelling, each with its own completions, so it never outgrows the
-    # final list.
-    bits = 8 * array(_digit_code(n)).itemsize
+def _sorted_rows(digits, n: int) -> list:
+    # Rows of n+1 digits, values 1..n in position order then digit 0, cut
+    # apart and sorted; a wide digits array is used up.  One-byte digits
+    # become latin-1 strs of n characters: no value is 0, so the digit 0
+    # ending each row is its one NUL, and list.sort compares such strs with
+    # memcmp.  Wider digits become n-digit big-endian bytes, which sort the
+    # same way.
+    if n < 1 << 8:
+        rows = str(digits, "latin-1").split("\0")
+        rows.pop()
+    else:
+        del digits[n :: n + 1]
+        raw = _big_endian(digits).tobytes()
+        width = n * digits.itemsize
+        rows = [raw[i : i + width] for i in range(0, len(raw), width)]
+    rows.sort()
+    return rows
 
-    def grow(words: list[int], value: int, node: int) -> Iterator[int]:
-        return map((value << bits * (n + 1 - node)).__add__, words)
 
-    words: list[int] = []
+def _labelling_rows(posets: Iterable[DiamondPoset], n: int) -> list:
+    # The labellings of several posets on n nodes, merged and sorted as
+    # rows (see _sorted_rows).  The peel carries one buffer of rows per
+    # down-set, n+1 digits to a partial labelling, 0 at its unlabelled nodes
+    # and at its end; labelling node with value copies the buffer and writes
+    # value into every row with one strided slice assignment.  A layer holds
+    # one row per partial labelling, each with its own completions, so it
+    # never outgrows the final list.
+    step = n + 1
+    make = bytearray if n < 1 << 8 else functools.partial(array, _digit_code(n))
+
+    def grow(rows, value: int, node: int):
+        rows = rows[:]
+        rows[node - 1 :: step] = make((value,)) * (len(rows) // step)
+        return rows
+
+    digits = make()
     for poset in posets:
-        words += _peel(poset, [0], grow)
-    words.sort()
-    return words
+        digits += _peel(poset, make((0,)) * step, grow)
+    return _sorted_rows(digits, n)
 
 
-def _slice_words(d: int, n: int) -> list[int]:
+def _slice_words(d: int, n: int) -> list:
     # The size-n slice of minimal permutations with d descents as sorted
-    # packed words: the labellings of the shape posets of its compositions.
-    # The size-(d+1) slice is the one word n..1, packed directly: its peel
-    # does big-int work in n per layer, quadratic in all.
+    # rows: the labellings of the shape posets of its compositions.  The
+    # size-(d+1) slice is the one word n..1, written directly: its peel
+    # copies a row of n digits in each of n layers, quadratic in all.
     if d >= 1 and n == d + 1:
-        return [int.from_bytes(_big_endian(array(_digit_code(n), [*range(n, 0, -1), 0])), "big")]
-    return _packed_labellings(map(build_poset, compositions(d, n)), n)
+        return _sorted_rows(array(_digit_code(n), [*range(n, 0, -1), 0]), n)
+    return _labelling_rows(map(build_poset, compositions(d, n)), n)
 
 
-def _word_bytes(words: list[int], length: int) -> bytes:
-    # The packed words as big-endian bytes, length bytes each, in one join.
-    return b"".join(map(int.to_bytes, words, itertools.repeat(length), itertools.repeat("big")))
-
-
-def _digits(words: list[int], n: int) -> array:
-    # Every digit of the packed words over 1..n, most significant first:
-    # each word gives its values in position order, then its digit 0.
+def _digits(rows: list, n: int) -> array:
+    # Every digit of the rows over 1..n in order, each row followed by a 0.
     digits = array(_digit_code(n))
-    digits.frombytes(_word_bytes(words, (n + 1) * digits.itemsize))
+    if n < 1 << 8:
+        digits.frombytes(("\0".join(rows) + "\0").encode("latin-1"))
+        return digits
+    end = bytes(digits.itemsize)
+    digits.frombytes(end.join(rows) + end)
     return _big_endian(digits)
 
 
-def _unpack(words: list[int], n: int) -> Iterator[tuple[int, ...]]:
-    # The packed words over 1..n as tuples of values in position order.
-    # Nothing is sized from n unless there are words to unpack.
-    if not words:
+def _unpack(rows: list, n: int) -> Iterator[tuple[int, ...]]:
+    # The rows over 1..n as tuples of values in position order.  Nothing is
+    # sized from n unless there are rows to unpack.
+    if not rows:
         return iter(())
-    digits = _digits(words, n)
+    digits = _digits(rows, n)
     del digits[n :: n + 1]
     return zip(*[iter(digits)] * n)
 
 
-# Words per text chunk of a rendered listing, so that a long one is never
-# held as text all at once.
+# Lines per text chunk of a rendered listing or tree, so that a long one is
+# never held as text all at once.
 _CHUNK_LINES = 1 << 14
 
 
-def _word_chunks(words: list[int], n: int) -> Iterator[str]:
-    # The packed words over 1..n as text, one line each, _CHUNK_LINES words
-    # per chunk.  Value v is named "v " and digit 0, the end of every word,
-    # "\n", so "3 1 4 2 \n" needs only its " \n" turned into "\n".
-    if not words:
-        return
-    names = ["\n", *(f"{v} " for v in range(1, n + 1))]
-    if n >= 1 << 8:
-        # Two- and four-byte digits, which only slices of a few members
-        # reach: the names are joined digit by digit.
-        for start in range(0, len(words), _CHUNK_LINES):
-            digits = _digits(words[start : start + _CHUNK_LINES], n)
-            yield "".join(map(names.__getitem__, digits)).replace(" \n", "\n")
-        return
-    # One-byte digits: character c of every name, NUL past its end, is one
+def _byte_renderer(names: list[str]) -> Callable[[bytes], str]:
+    # Text of one-byte digits, digit v named names[v], with no Python step
+    # per digit: character c of every name, NUL past its end, is one
     # bytes.translate of the digits, written into every width-th byte of
-    # the text; deleting the NULs closes the gaps.
-    width = len(names[-1])
+    # the text, and deleting the NULs closes the gaps.  A name ending in a
+    # space loses it before a "\n".
+    width = max(map(len, names))
     padded = [name.ljust(width, "\0") for name in names]
     tables = ["".join(column).encode("ascii").ljust(256, b"\0") for column in zip(*padded)]
-    for start in range(0, len(words), _CHUNK_LINES):
-        raw = _word_bytes(words[start : start + _CHUNK_LINES], n + 1)
+
+    def render(raw: bytes) -> str:
         text = bytearray(len(raw) * width)
         for c, table in enumerate(tables):
             text[c::width] = raw.translate(table)
-        yield text.translate(None, b"\0").replace(b" \n", b"\n").decode("ascii")
+        return text.translate(None, b"\0").replace(b" \n", b"\n").decode("ascii")
+
+    return render
+
+
+def _line_chunks(lines: Iterable[bytes], names: list[str]) -> Iterator[str]:
+    # Lines of one-byte digits, none of them 0, as text, _CHUNK_LINES lines
+    # per chunk; digit v is named names[v], and names[0] ends each line.
+    render = _byte_renderer(names)
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        yield render(b"\0".join(chunk) + b"\0")
+
+
+def _word_chunks(rows: list, n: int) -> Iterator[str]:
+    # The rows over 1..n as text, one line each, _CHUNK_LINES rows per
+    # chunk.  Value v is named "v " and digit 0, the end of every row, "\n",
+    # so "3 1 4 2 \n" needs only its " \n" turned into "\n".
+    if not rows:
+        return
+    names = ["\n", *(f"{v} " for v in range(1, n + 1))]
+    if n >= 1 << 8:
+        # Two- and four-byte digits, which only one-member slices and
+        # single posets reach: the names are joined digit by digit.
+        for start in range(0, len(rows), _CHUNK_LINES):
+            digits = _digits(rows[start : start + _CHUNK_LINES], n)
+            yield "".join(map(names.__getitem__, digits)).replace(" \n", "\n")
+        return
+    render = _byte_renderer(names)
+    for start in range(0, len(rows), _CHUNK_LINES):
+        yield render(("\0".join(rows[start : start + _CHUNK_LINES]) + "\0").encode("latin-1"))
 
 
 def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:
     """All labellings of the poset with 1..n placing larger values higher.
 
-    The peel of ``count_labellings`` run over packed words instead of
-    counts: each down-set carries a list of partial labellings, each an
-    integer, and labelling a node with a value adds one shifted digit to
-    every word in the list at once.  The words are sorted as integers,
-    which is lexicographic order, and yielded as permutations in position
-    order.  Counts stay small at the scales this project works at (bounded
-    by a Catalan number), so the full set is materialized before sorting.
+    The peel of ``count_labellings`` run over rows of digits instead of
+    counts: each down-set carries one buffer of partial labellings, n+1
+    digits each, and labelling a node with a value writes that value into
+    every row of a copy of the buffer with one strided slice assignment.
+    The rows are sorted as byte strings, which is lexicographic order, and
+    yielded as permutations in position order.  Counts stay small at the
+    scales this project works at (bounded by a Catalan number), so the full
+    set is materialized before sorting.
     """
-    for word in _unpack(_packed_labellings([poset], poset.size), poset.size):
+    for word in _unpack(_labelling_rows([poset], poset.size), poset.size):
         yield Permutation._trusted(word)
 
 
@@ -312,7 +357,7 @@ def count_labellings(poset: DiamondPoset) -> int:
     remaining value off a maximal node, one value per layer, carrying the
     number of ways to reach each remaining set (a bitmask).  The layered
     block structure keeps the number of distinct down-sets small, far below
-    2**n.  ``authorized_labellings`` runs the same peel over words.
+    2**n.  ``authorized_labellings`` runs the same peel over rows of digits.
     """
     return _peel(poset, 1, lambda ways, value, node: ways)
 

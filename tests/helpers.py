@@ -60,13 +60,16 @@ def definition_minimal(p: Permutation, d: int) -> bool:
     return True
 
 
-def packed_word(word: tuple[int, ...], n: int) -> int:
-    """A word over 1..n packed byte by byte: position i in digit n+1-i, digit 0 left 0.
+def digit_row(word: tuple[int, ...], n: int) -> str | bytes:
+    """A word over 1..n as a row of a listing: one digit per value, no end digit.
 
-    Digits are one byte below n = 256, two below 65536 and four above.
+    Below n = 256 the row is a latin-1 str, one character per value; above,
+    big-endian bytes, two per value below 65536 and four from there on.
     """
-    size = 1 if n < 1 << 8 else 2 if n < 1 << 16 else 4
-    return int.from_bytes(b"".join(v.to_bytes(size, "big") for v in (*word, 0)), "big")
+    if n < 1 << 8:
+        return "".join(map(chr, word))
+    size = 2 if n < 1 << 16 else 4
+    return b"".join(v.to_bytes(size, "big") for v in word)
 
 
 def composition_count(d: int, n: int) -> int:

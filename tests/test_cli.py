@@ -30,7 +30,7 @@ from permdl import (
 )
 from permdl.cli import main
 
-from helpers import packed_word, replay_rendered_scenario
+from helpers import digit_row, replay_rendered_scenario
 
 
 def run(capsys, *argv):
@@ -346,7 +346,7 @@ class TestListingRoute:
                 ]
 
     def test_tree_levels_in_generating_tree_order(self, capsys):
-        for depth in range(1, 9):
+        for depth in range(1, 11):
             code, out, _ = run(capsys, "bijection", "tree", "--depth", str(depth))
             assert code == 0
             *lines, sizes = out.splitlines()
@@ -388,10 +388,11 @@ class TestListingRoute:
             assert time.perf_counter() - start < 1.0
 
     def test_wide_digits_render_like_words(self):
-        # Two- and four-byte digits, which only the one-member slices reach.
+        # Two- and four-byte digits, which only one-member slices and single
+        # posets of 256 nodes or more reach.
         for n in (256, 65536):
             words = sorted([tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))])
-            text = "".join(posets._word_chunks([packed_word(w, n) for w in words], n))
+            text = "".join(posets._word_chunks([digit_row(w, n) for w in words], n))
             assert text == "".join(" ".join(map(str, w)) + "\n" for w in words)
 
     def test_one_byte_digits_render_at_every_name_width(self):
@@ -399,7 +400,7 @@ class TestListingRoute:
         for n in (1, 9, 10, 99, 100, 254, 255):
             rng = random.Random(n)
             words = sorted({tuple(rng.sample(range(1, n + 1), n)) for _ in range(40)})
-            text = "".join(posets._word_chunks([packed_word(w, n) for w in words], n))
+            text = "".join(posets._word_chunks([digit_row(w, n) for w in words], n))
             assert text == "".join(" ".join(map(str, w)) + "\n" for w in words)
 
     def test_chunked_writes_change_no_byte(self, capsys, monkeypatch):
@@ -410,6 +411,7 @@ class TestListingRoute:
             for fmt in ("plain", "csv", "json")
             for limit in ((), ("--limit", "3"), ("--limit", "7"))
         ]
+        cases += [("bijection", "tree", "--depth", str(depth)) for depth in range(1, 9)]
         whole = [run(capsys, *argv) for argv in cases]
         monkeypatch.setattr(posets, "_CHUNK_LINES", 7)
         assert [run(capsys, *argv) for argv in cases] == whole

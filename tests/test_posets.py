@@ -1,5 +1,6 @@
 import itertools
 import random
+from array import array
 from math import comb
 
 import pytest
@@ -23,9 +24,9 @@ from permdl import (
     parse_permutation,
     poset_edges,
 )
-from permdl.posets import _digit_code, _digits, _unpack
+from permdl.posets import _digit_code, _digits, _sorted_rows, _unpack
 
-from helpers import packed_word
+from helpers import digit_row
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429]
 
@@ -166,6 +167,16 @@ class TestLabellings:
             assert [p.values for p in authorized_labellings(poset)] == [tuple(range(d + 1, 0, -1))]
         assert count_basis(1200, 1201) == 1
 
+    @pytest.mark.parametrize("lengths", [(254, 1), (1, 254)])
+    def test_two_byte_digits_list_many_members(self, lengths):
+        # 257 nodes, so every digit takes two bytes, and 32,639 labellings.
+        comp = DescentComposition(lengths)
+        poset = build_poset(comp)
+        members = list(authorized_labellings(poset))
+        assert all(a.values < b.values for a, b in zip(members, members[1:]))
+        assert len(members) == count_labellings(poset) == 32639
+        assert all(is_minimal(p, comp.d).is_minimal for p in members)
+
 
 class TestPackedWords:
     @pytest.mark.parametrize("n, code", [(1, "B"), (255, "B"), (256, "H"), (65535, "H"), (65536, "I")])
@@ -173,10 +184,15 @@ class TestPackedWords:
         # Synthetic words at the edges of the 1-, 2- and 4-byte digits.
         assert _digit_code(n) == code
         words = [tuple(range(1, n + 1)), tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))]
-        packed = [packed_word(w, n) for w in words]
-        assert list(_unpack(packed, n)) == words
-        assert sorted(packed) == [packed_word(w, n) for w in sorted(words)]
-        assert len(_digits(packed, n)) == len(words) * (n + 1)
+        rows = [digit_row(w, n) for w in words]
+        assert list(_unpack(rows, n)) == words
+        assert sorted(rows) == [digit_row(w, n) for w in sorted(words)]
+        assert len(_digits(rows, n)) == len(words) * (n + 1)
+        # The peel's layout, each word followed by digit 0, is what _digits
+        # gives back, and it is cut into the same rows, sorted.
+        peeled = array(code, [v for w in words for v in (*w, 0)])
+        assert _digits(rows, n) == peeled
+        assert _sorted_rows(peeled, n) == sorted(rows)
 
     def test_empty(self):
         assert list(_unpack([], 10**9)) == []
