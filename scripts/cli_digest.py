@@ -25,7 +25,9 @@ sizes 1,000 and 10,000 (501 and 5,001 runs), ``bijection dyck`` on those two
 paths and members both ways, counts at sizes d+3 and 2d-2
 for d = 10, 20, 30 and 40, counts past 4,300 digits, the json listing of the
 (13, 15) slice (32,556 members, two text chunks) whole and cut at 20,000,
-the plain (7, 11) and (15, 17) listings and the depth-10 tree, and the
+the plain (7, 11) and (15, 17) listings and the depth-10 tree, the
+one-member (255, 256) and (65535, 65536) slices in plain, json and csv,
+whole and with ``--limit 1`` (two- and four-byte digits), and the
 refusals.  It also holds the flags a request would ignore, which are
 usage errors: ``stats --grid --format json|csv`` for each permutation of
 ``PERMS``, and ``bijection phi1|phi2 --invert`` beside ``-d`` (phi1 with
@@ -112,6 +114,15 @@ LARGE_LISTINGS = [
     ["bijection", "tree", "--depth", "10"],
 ]
 
+# One-member slices whose digits take two bytes (n = 256) and four bytes
+# (n = 65536), in every listing format, whole and cut to one member.
+WIDE_LISTINGS = [
+    ["enumerate", "-d", str(n - 1), "-n", str(n), "--format", fmt, *limit]
+    for n in (256, 65536)
+    for fmt in ("plain", "json", "csv")
+    for limit in ((), ("--limit", "1"))
+]
+
 # Hosts with many runs: Dyck members of sizes 1,000 and 10,000.
 MANY_RUNS = ["UUDUDD" * 166 + "UUDD", "UUDD" * 2500]
 
@@ -158,7 +169,7 @@ def corpus(max_d: int) -> list[list[str]]:
         out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
     out += [["bijection", "phi1", "", "-d", "3"], ["bijection", "phi2", " ", "-d", "3"]]
     out += [["bijection", "phi1", "--invert", "8 5 4 3 9 7 6 2 1", "-d", "7"], ["bijection", "phi2", "--invert", "7 6 2 1 5 4 3", "-d", "99"]]
-    return out + DIAGONAL_COUNTS + JSON_LISTINGS + LARGE_LISTINGS + REFUSALS + LARGE_COUNTS
+    return out + DIAGONAL_COUNTS + JSON_LISTINGS + LARGE_LISTINGS + WIDE_LISTINGS + REFUSALS + LARGE_COUNTS
 
 
 def run(argv: list[str]) -> dict:

@@ -421,7 +421,20 @@ def build_parser() -> argparse.ArgumentParser:
     Parsing leaves the parser unchanged, so one instance serves any number
     of ``main`` calls in a process; importing this module builds nothing.
     """
-    parser = argparse.ArgumentParser(prog="permdl", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="permdl",
+        description=(
+            "Minimal permutations with d descents and the duplication-loss steps whose "
+            "reachable permutations they bound: statistics, minimality checks, listings "
+            "and counts of the size-n slices, shortest scenarios, bijections, random "
+            f"walks and shape posets. An answer with more than {MAX_LISTED} members, "
+            "nodes, cells or values is refused before it is built; counts of larger "
+            "slices stay available through enumerate --count-only. Exit codes: 0 for "
+            "success or a true predicate, 1 for a false predicate (check on a "
+            "non-minimal permutation), 2 for usage or parse errors and refused "
+            "requests, 141 when the reader of stdout closes it early."
+        ),
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def leaf(group, name, func, help, *extra_formats) -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ nodes, one per layer, and carries per remaining down-set either a count
 digits each (``authorized_labellings`` and the slice listings), which one
 strided slice assignment per move extends by a node.
 
-This module owns that row format: the digit width, the byte order, digit
+This module owns the listing rows and their text: the digit width, digit
 0 as the end of a row and the line break of a rendered listing, and the
 text chunks a listing is written in.  Callers get sorted rows from
 ``_slice_words`` and text from ``_word_chunks``, which every listing
@@ -28,9 +28,9 @@ where digits are one byte, a sorted row is a latin-1 str of n characters
 step per word or digit: one ``bytes.translate`` per character column of
 the value names, interleaved and stripped of padding.  The plain
 generating tree is written through the same renderer (``_line_chunks``).
-Wider digits, which only one-member slices and single posets of 256 nodes
-or more reach, make rows of big-endian bytes and keep a join over the
-names of their digits.
+From n = 256 on, which only the one-member slice n = d+1 and single
+posets of 256 nodes or more reach, a row is the tuple of its values and
+its text is joined value by value.
 
 Covers are stored as (lower, upper) pairs of positions: the value at
 ``lower`` must be smaller than the value at ``upper``.
@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import graphlib
 import itertools
-import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
@@ -177,13 +176,6 @@ def _digit_code(n: int) -> str:
     return "B" if n < 1 << 8 else "H" if n < 1 << 16 else "I"
 
 
-def _big_endian(digits: array) -> array:
-    # digits swapped in place between machine order and big-endian.
-    if digits.itemsize > 1 and sys.byteorder == "little":
-        digits.byteswap()
-    return digits
-
-
 def _peel(poset: DiamondPoset, seed, grow):
     # The down-set DP behind count_labellings and the listings: values n..1
     # go one per layer to a maximal node of the remaining down-set, keyed by
@@ -215,16 +207,14 @@ def _sorted_rows(digits, n: int) -> list:
     # apart and sorted; a wide digits array is used up.  One-byte digits
     # become latin-1 strs of n characters: no value is 0, so the digit 0
     # ending each row is its one NUL, and list.sort compares such strs with
-    # memcmp.  Wider digits become n-digit big-endian bytes, which sort the
-    # same way.
+    # memcmp.  Wider digits become tuples of n values; the guard keeps an
+    # empty buffer of a huge n from sizing zip's arguments from n.
     if n < 1 << 8:
         rows = str(digits, "latin-1").split("\0")
         rows.pop()
     else:
         del digits[n :: n + 1]
-        raw = _big_endian(digits).tobytes()
-        width = n * digits.itemsize
-        rows = [raw[i : i + width] for i in range(0, len(raw), width)]
+        rows = list(zip(*[iter(digits)] * n)) if digits else []
     rows.sort()
     return rows
 
@@ -261,25 +251,12 @@ def _slice_words(d: int, n: int) -> list:
     return _labelling_rows(map(build_poset, compositions(d, n)), n)
 
 
-def _digits(rows: list, n: int) -> array:
-    # Every digit of the rows over 1..n in order, each row followed by a 0.
-    digits = array(_digit_code(n))
-    if n < 1 << 8:
-        digits.frombytes(("\0".join(rows) + "\0").encode("latin-1"))
-        return digits
-    end = bytes(digits.itemsize)
-    digits.frombytes(end.join(rows) + end)
-    return _big_endian(digits)
-
-
 def _unpack(rows: list, n: int) -> Iterator[tuple[int, ...]]:
-    # The rows over 1..n as tuples of values in position order.  Nothing is
-    # sized from n unless there are rows to unpack.
-    if not rows:
-        return iter(())
-    digits = _digits(rows, n)
-    del digits[n :: n + 1]
-    return zip(*[iter(digits)] * n)
+    # The rows over 1..n as tuples of values in position order: wide rows
+    # already are, and one-byte rows are cut from the bytes of their join.
+    if n >= 1 << 8:
+        return iter(rows)
+    return zip(*[iter("".join(rows).encode("latin-1"))] * n)
 
 
 # Lines per text chunk of a rendered listing or tree, so that a long one is
@@ -317,18 +294,16 @@ def _line_chunks(lines: Iterable[bytes], names: list[str]) -> Iterator[str]:
 
 def _word_chunks(rows: list, n: int) -> Iterator[str]:
     # The rows over 1..n as text, one line each, _CHUNK_LINES rows per
-    # chunk.  Value v is named "v " and digit 0, the end of every row, "\n",
-    # so "3 1 4 2 \n" needs only its " \n" turned into "\n".
+    # chunk.  A wide row, the tuple of its values, is joined value by value.
+    # In one-byte rows value v is named "v " and digit 0, the end of every
+    # row, "\n", so "3 1 4 2 \n" needs only its " \n" turned into "\n".
+    if n >= 1 << 8:
+        for start in range(0, len(rows), _CHUNK_LINES):
+            yield "".join(" ".join(map(str, w)) + "\n" for w in rows[start : start + _CHUNK_LINES])
+        return
     if not rows:
         return
     names = ["\n", *(f"{v} " for v in range(1, n + 1))]
-    if n >= 1 << 8:
-        # Two- and four-byte digits, which only one-member slices and
-        # single posets reach: the names are joined digit by digit.
-        for start in range(0, len(rows), _CHUNK_LINES):
-            digits = _digits(rows[start : start + _CHUNK_LINES], n)
-            yield "".join(map(names.__getitem__, digits)).replace(" \n", "\n")
-        return
     render = _byte_renderer(names)
     for start in range(0, len(rows), _CHUNK_LINES):
         yield render(("\0".join(rows[start : start + _CHUNK_LINES]) + "\0").encode("latin-1"))
@@ -341,10 +316,10 @@ def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:
     counts: each down-set carries one buffer of partial labellings, n+1
     digits each, and labelling a node with a value writes that value into
     every row of a copy of the buffer with one strided slice assignment.
-    The rows are sorted as byte strings, which is lexicographic order, and
-    yielded as permutations in position order.  Counts stay small at the
-    scales this project works at (bounded by a Catalan number), so the full
-    set is materialized before sorting.
+    The rows are sorted, which is lexicographic order, and yielded as
+    permutations in position order.  Counts stay small at the scales this
+    project works at (bounded by a Catalan number), so the full set is
+    materialized before sorting.
     """
     for word in _unpack(_labelling_rows([poset], poset.size), poset.size):
         yield Permutation._trusted(word)

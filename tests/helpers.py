@@ -60,16 +60,15 @@ def definition_minimal(p: Permutation, d: int) -> bool:
     return True
 
 
-def digit_row(word: tuple[int, ...], n: int) -> str | bytes:
-    """A word over 1..n as a row of a listing: one digit per value, no end digit.
+def digit_row(word: tuple[int, ...], n: int) -> str | tuple[int, ...]:
+    """A word over 1..n as a row of a listing, with no end digit.
 
-    Below n = 256 the row is a latin-1 str, one character per value; above,
-    big-endian bytes, two per value below 65536 and four from there on.
+    Below n = 256 the row is a latin-1 str, one character per value; from
+    n = 256 on, the tuple of its values.
     """
     if n < 1 << 8:
         return "".join(map(chr, word))
-    size = 2 if n < 1 << 16 else 4
-    return b"".join(v.to_bytes(size, "big") for v in word)
+    return tuple(word)
 
 
 def composition_count(d: int, n: int) -> int:

@@ -387,13 +387,17 @@ class TestListingRoute:
             assert run(capsys, "enumerate", "-d", str(d), "-n", str(d + 1), "--format", fmt) == (0, out, "")
             assert time.perf_counter() - start < 1.0
 
-    def test_wide_digits_render_like_words(self):
+    def test_wide_digits_render_like_words(self, monkeypatch):
         # Two- and four-byte digits, which only one-member slices and single
-        # posets of 256 nodes or more reach.
+        # posets of 256 nodes or more reach, split across text chunks.
+        default = posets._CHUNK_LINES
         for n in (256, 65536):
-            words = sorted([tuple(range(n, 0, -1)), tuple(random.Random(n).sample(range(1, n + 1), n))])
-            text = "".join(posets._word_chunks([digit_row(w, n) for w in words], n))
-            assert text == "".join(" ".join(map(str, w)) + "\n" for w in words)
+            rng = random.Random(n)
+            words = sorted([tuple(range(n, 0, -1)), *(tuple(rng.sample(range(1, n + 1), n)) for _ in range(4))])
+            want = "".join(" ".join(map(str, w)) + "\n" for w in words)
+            for chunk_lines in (1, 2, default):
+                monkeypatch.setattr(posets, "_CHUNK_LINES", chunk_lines)
+                assert "".join(posets._word_chunks([digit_row(w, n) for w in words], n)) == want
 
     def test_one_byte_digits_render_at_every_name_width(self):
         # Names of one to three digits, up to the largest one-byte n.
@@ -823,6 +827,18 @@ class TestParser:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.splitlines()[-1].endswith(line)
+
+    def test_help_is_written_for_users(self, capsys):
+        # The module docstring is for developers; --help gives the size cap
+        # and the exit codes in plain words.
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"more than {cli.MAX_LISTED} members" in text
+        for code in ("0 for success", "1 for a false predicate", "2 for usage", "141 when"):
+            assert code in text
+        assert "_refuse_over" not in text and "``" not in text
 
     def test_one_parser_serves_every_call(self, capsys):
         # A refusal, help output and valid commands back to back on the
