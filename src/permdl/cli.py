@@ -371,17 +371,20 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
     # Depth first, children in order, from a stack of rows: a size-2t node
     # is the bytes of its values, and its child with new last value i is
     # the node with every value >= i bumped up by one, then 2t+2 and i
-    # (see eco_children).  Values stay at most 2 * depth, far below 256,
-    # and only the i in 2..2*depth-1 bump: the last entry of a table is
+    # (see eco_children).  A row's first value v is marked, stored as
+    # 128 + v and bumped as v is, so every child inherits the mark.  The cap
+    # keeps depth <= 12, so top + 128 < 256 for the largest value top; only
+    # the i in 2..top-1 bump, and the last entry of each half of a table is
     # never read.
     top = 2 * args.depth
-    bump = {i: bytes(range(i)) + bytes(range(i + 1, 256)) + b"\0" for i in range(2, top)}
-    # A line is its row after one digit top+1, named "  ", per level below
-    # the root.
+    half = {i: bytes(range(i)) + bytes(range(i + 1, 128)) + b"\0" for i in range(2, top)}
+    bump = {i: low + low.translate(bytes(range(128, 256)) * 2) for i, low in half.items()}
+    # A line is one digit top+1, named "  ", per level below the root, then
+    # its row: the marked value named "v", the others " v"; 0 ends the line.
     indents = {2 * t: bytes([top + 1]) * (t - 1) for t in range(1, args.depth + 1)}
 
     def walk() -> Iterator[bytes]:
-        stack = [b"\x02\x01"]
+        stack = [bytes((128 + 2, 1))]
         while stack:
             row = stack.pop()
             size = len(row)
@@ -390,7 +393,9 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
                 label = size + 1 - row[-1]
                 stack += [row.translate(bump[i]) + bytes((size + 2, i)) for i in range(size + 2 - label, size + 2)]
 
-    sys.stdout.writelines(_line_chunks(walk(), ["\n", *(f"{v} " for v in range(1, top + 1)), "  "]))
+    names = {0: "\n", top + 1: "  ", **{v: f" {v}" for v in range(1, top + 1)}}
+    names.update((128 + v, str(v)) for v in range(1, top + 1))
+    sys.stdout.writelines(_line_chunks(walk(), names))
     print(f"level sizes: {' '.join(str(s) for s in sizes)}")
     return 0
 

@@ -18,15 +18,16 @@ digits each (``authorized_labellings`` and the slice listings), which one
 strided slice assignment per move extends by a node.
 
 This module owns the listing rows and their text: the digit width, digit
-0 as the end of a row and the line break of a rendered listing, and the
-text chunks a listing is written in.  Callers get sorted rows from
-``_slice_words`` and text from ``_word_chunks``, which every listing
-format is written from; only the library (``enumerate_basis``,
-``authorized_labellings``) takes tuples from ``_unpack``.  Below n = 256,
-where digits are one byte, a sorted row is a latin-1 str of n characters
-(list.sort compares those with memcmp), and text is made with no Python
-step per word or digit: one ``bytes.translate`` per character column of
-the value names, interleaved and stripped of padding.  The plain
+0 as the end of a peeled row, and the text chunks a listing is written
+in.  Callers get sorted rows from ``_slice_words`` and text from
+``_word_chunks``, which every listing format is written from; only the
+library (``enumerate_basis``, ``authorized_labellings``) takes tuples
+from ``_unpack``.  Below n = 256, where digits are one byte, a sorted row
+is a latin-1 str of n characters (list.sort compares those with memcmp),
+and text is made with no Python step per word or digit and no search of
+the text: one ``bytes.translate`` per character column of the value
+names, interleaved, with the last value of each row named with its line
+break, and stripped of padding where names differ in width.  The plain
 generating tree is written through the same renderer (``_line_chunks``).
 From n = 256 on, which only the one-member slice n = d+1 and single
 posets of 256 nodes or more reach, a row is the tuple of its values and
@@ -264,26 +265,35 @@ def _unpack(rows: list, n: int) -> Iterator[tuple[int, ...]]:
 _CHUNK_LINES = 1 << 14
 
 
-def _byte_renderer(names: list[str]) -> Callable[[bytes], str]:
+def _byte_renderer(names: dict[int, str], ends: dict | None = None, n: int = 0) -> Callable[[bytes], str]:
     # Text of one-byte digits, digit v named names[v], with no Python step
-    # per digit: character c of every name, NUL past its end, is one
-    # bytes.translate of the digits, written into every width-th byte of
-    # the text, and deleting the NULs closes the gaps.  A name ending in a
-    # space loses it before a "\n".
-    width = max(map(len, names))
-    padded = [name.ljust(width, "\0") for name in names]
-    tables = ["".join(column).encode("ascii").ljust(256, b"\0") for column in zip(*padded)]
+    # per digit and no search of the text: character c of every name, NUL
+    # past its end, is one bytes.translate of the digits, written into every
+    # width-th byte of the text.  Given ends, the digits are rows of n and
+    # the last digit of each is named ends[v] instead: its characters are
+    # written over every (n * width)-th byte.  Deleting the NULs closes the
+    # gaps; when all names have one width there are none.
+    lengths = {len(name) for name in [*names.values(), *(ends or {}).values()]}
+    width = max(lengths)
+
+    def tables(names: dict[int, str]) -> list[bytes]:
+        padded = "".join(names.get(v, "").ljust(width, "\0") for v in range(256)).encode("ascii")
+        return [padded[c::width] for c in range(width)]
+
+    columns, last_columns = tables(names), tables(ends) if ends else []
 
     def render(raw: bytes) -> str:
         text = bytearray(len(raw) * width)
-        for c, table in enumerate(tables):
+        for c, table in enumerate(columns):
             text[c::width] = raw.translate(table)
-        return text.translate(None, b"\0").replace(b" \n", b"\n").decode("ascii")
+        for c, table in enumerate(last_columns):
+            text[(n - 1) * width + c :: n * width] = raw[n - 1 :: n].translate(table)
+        return (text if len(lengths) == 1 else text.translate(None, b"\0")).decode("ascii")
 
     return render
 
 
-def _line_chunks(lines: Iterable[bytes], names: list[str]) -> Iterator[str]:
+def _line_chunks(lines: Iterable[bytes], names: dict[int, str]) -> Iterator[str]:
     # Lines of one-byte digits, none of them 0, as text, _CHUNK_LINES lines
     # per chunk; digit v is named names[v], and names[0] ends each line.
     render = _byte_renderer(names)
@@ -295,18 +305,19 @@ def _line_chunks(lines: Iterable[bytes], names: list[str]) -> Iterator[str]:
 def _word_chunks(rows: list, n: int) -> Iterator[str]:
     # The rows over 1..n as text, one line each, _CHUNK_LINES rows per
     # chunk.  A wide row, the tuple of its values, is joined value by value.
-    # In one-byte rows value v is named "v " and digit 0, the end of every
-    # row, "\n", so "3 1 4 2 \n" needs only its " \n" turned into "\n".
+    # One-byte rows of a chunk are joined with nothing between them: value v
+    # is named "v ", and "v\n" as the last of its row, so "3 1 4 2\n" is
+    # written with its line break in place.
     if n >= 1 << 8:
         for start in range(0, len(rows), _CHUNK_LINES):
             yield "".join(" ".join(map(str, w)) + "\n" for w in rows[start : start + _CHUNK_LINES])
         return
     if not rows:
         return
-    names = ["\n", *(f"{v} " for v in range(1, n + 1))]
-    render = _byte_renderer(names)
+    values = range(1, n + 1)
+    render = _byte_renderer({v: f"{v} " for v in values}, {v: f"{v}\n" for v in values}, n)
     for start in range(0, len(rows), _CHUNK_LINES):
-        yield render(("\0".join(rows[start : start + _CHUNK_LINES]) + "\0").encode("latin-1"))
+        yield render("".join(rows[start : start + _CHUNK_LINES]).encode("latin-1"))
 
 
 def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:

@@ -17,6 +17,8 @@ from permdl import (
     classify_s2,
     count_basis,
     dyck_to_perm,
+    eco_children,
+    eco_root,
     enumerate_basis,
     generating_tree,
     minimal,
@@ -358,6 +360,25 @@ class TestListingRoute:
             assert levels == [[str(node.perm) for node in level] for level in want]
             assert sizes == "level sizes: " + " ".join(str(len(level)) for level in want)
 
+    def test_tree_lines_in_depth_first_order(self, capsys, monkeypatch):
+        # The plain tree is a preorder walk of the generating tree, each
+        # node indented two spaces per level below the root, however its
+        # lines are split into text chunks.
+        depth = 9
+
+        def preorder(node, level):
+            yield "  " * level + str(node.perm) + "\n"
+            if level + 1 < depth:
+                for kid in eco_children(node):
+                    yield from preorder(kid, level + 1)
+
+        text = "".join(preorder(eco_root(), 0))
+        for chunk_lines in (1, 7, posets._CHUNK_LINES):
+            monkeypatch.setattr(posets, "_CHUNK_LINES", chunk_lines)
+            code, out, _ = run(capsys, "bijection", "tree", "--depth", str(depth))
+            assert code == 0 and out[: len(text)] == text
+            assert out[len(text) :].startswith("level sizes: ") and out[len(text) :].count("\n") == 1
+
     def test_reversed_identity_past_one_byte_digits(self, capsys):
         # The one member of the size-(d+1) slice, with values past 255.
         for d in (255, 256, 300):
@@ -399,13 +420,17 @@ class TestListingRoute:
                 monkeypatch.setattr(posets, "_CHUNK_LINES", chunk_lines)
                 assert "".join(posets._word_chunks([digit_row(w, n) for w in words], n)) == want
 
-    def test_one_byte_digits_render_at_every_name_width(self):
-        # Names of one to three digits, up to the largest one-byte n.
+    def test_one_byte_digits_render_at_every_name_width(self, monkeypatch):
+        # Names of one to three digits, up to the largest one-byte n, in
+        # chunks down to one row: each chunk writes its own line breaks.
+        default = posets._CHUNK_LINES
         for n in (1, 9, 10, 99, 100, 254, 255):
             rng = random.Random(n)
             words = sorted({tuple(rng.sample(range(1, n + 1), n)) for _ in range(40)})
-            text = "".join(posets._word_chunks([digit_row(w, n) for w in words], n))
-            assert text == "".join(" ".join(map(str, w)) + "\n" for w in words)
+            want = "".join(" ".join(map(str, w)) + "\n" for w in words)
+            for chunk_lines in (1, 3, default):
+                monkeypatch.setattr(posets, "_CHUNK_LINES", chunk_lines)
+                assert "".join(posets._word_chunks([digit_row(w, n) for w in words], n)) == want
 
     def test_chunked_writes_change_no_byte(self, capsys, monkeypatch):
         cases = [
