@@ -20,22 +20,23 @@ trees to depth 8; both phi maps forward and inverted for every non-interval
 subset with d <= 6 and for one subset of each phi2 type A-E at d = 200;
 ``poset --composition`` for every composition with d <= 6 and
 ``poset --ladder 1000``, plain and json; empty subsets for both phi maps;
-stats, check, scenario, dyck, evolve, poset, stats on two Dyck members of
-sizes 1,000 and 10,000 (501 and 5,001 runs), ``bijection dyck`` on those two
-paths and members both ways, counts at sizes d+3 and 2d-2
-for d = 10, 20, 30 and 40, counts past 4,300 digits, the json listing of the
-(13, 15) slice (32,556 members, two text chunks) whole and cut at 20,000,
-the plain (7, 11) and (15, 17) listings and the depth-10 tree, the
+stats, check, scenario, dyck, evolve, poset, stats and ``scenario`` (plain
+and json) on two Dyck members of sizes 1,000 and 10,000 (501 and 5,001 runs),
+``bijection dyck`` on those two paths and members both ways, ``scenario``
+(plain and json) on one seeded shuffle of 1..10,000, counts at sizes d+3 and
+2d-2 for d = 10, 20, 30 and 40, counts past 4,300 digits, the json listing
+of the (13, 15) slice (32,556 members, two text chunks) whole and cut at
+20,000, the plain (7, 11) and (15, 17) listings and the depth-10 tree, the
 one-member (255, 256) and (65535, 65536) slices in plain, json and csv,
-whole and with ``--limit 1`` (two- and four-byte digits), and the
-refusals.  It also holds the flags a request would ignore, which are
-usage errors: ``stats --grid --format json|csv`` for each permutation of
-``PERMS``, and ``bijection phi1|phi2 --invert`` beside ``-d`` (phi1 with
-its member's own d, phi2 with another).  Refusals that checkouts older than the diagonal listing
-floor take about 13 s or forever on (``enumerate -d 500000 -n 1000000``,
-``-d 500000 -n 999999``, ``-d 1000000000 -n 2000000000``) are left out, so
-the corpus runs on those checkouts too; ``-d 182 -n 186`` (about 5 s there)
-is in.
+whole and with ``--limit 1`` (two- and four-byte digits), and the refusals.
+It also holds the flags a request would ignore, which are usage errors:
+``stats --grid --format json|csv`` for each permutation of ``PERMS``, and
+``bijection phi1|phi2 --invert`` beside ``-d`` (phi1 with its member's own
+d, phi2 with another).  Refusals that checkouts older than the diagonal
+listing floor take about 13 s or forever on
+(``enumerate -d 500000 -n 1000000``, ``-d 500000 -n 999999``,
+``-d 1000000000 -n 2000000000``) are left out, so the corpus runs on those
+checkouts too; ``-d 182 -n 186`` (about 5 s there) is in.
 ``--max-d`` sets D (default 9) and bounds the trees, the small phi
 subsets and the compositions too.  The full corpus takes about 10 s
 (Python 3.11, 2-core VM).
@@ -48,6 +49,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 
 from permdl import DyckPath, NonIntervalSubset, cli, compositions, dyck_to_perm, non_interval_subsets, phi1, phi2
@@ -126,13 +128,20 @@ WIDE_LISTINGS = [
 # Hosts with many runs: Dyck members of sizes 1,000 and 10,000.
 MANY_RUNS = ["UUDUDD" * 166 + "UUDD", "UUDD" * 2500]
 
+# A host of 10,000 values in seeded random order: about 5,000 runs.
+SHUFFLED = list(range(1, 10_001))
+random.Random(1).shuffle(SHUFFLED)
+
 
 def corpus(max_d: int) -> list[list[str]]:
     out = []
     for steps in MANY_RUNS:
         perm = str(dyck_to_perm(DyckPath(steps)))
         out += [["stats", perm, "--format", fmt] for fmt in ("plain", "csv")]
+        out += [["scenario", perm], ["scenario", perm, "--format", "json"]]
         out += [["bijection", "dyck", arg, "--format", fmt] for arg in (steps, perm) for fmt in ("plain", "json")]
+    shuffled = " ".join(map(str, SHUFFLED))
+    out += [["scenario", shuffled], ["scenario", shuffled, "--format", "json"]]
     for perm in PERMS:
         out += [["stats", perm, "--format", fmt] for fmt in ("plain", "json", "csv")]
         out += [["stats", perm, "--grid"], ["scenario", perm], ["scenario", perm, "--format", "json"]]

@@ -52,12 +52,12 @@ from .bijections import (
     phi2,
 )
 from .duploss import (
-    Scenario,
+    DuplicationStep,
+    _synthesis,
     apply_step,
     min_steps,
     random_evolution,
     scenario_to_json,
-    synthesize_scenario,
 )
 from .minimal import count_basis, count_table, is_minimal
 from .perm import _integers, descents, maximal_runs, parse_permutation
@@ -255,13 +255,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scenario_lines(scenario: Scenario, render: Callable[[Iterable[int]], str]) -> Iterator[str]:
-    # The states are a real replay of the steps, each rendered once: one
-    # step's result is the next step's start and, after the last step, the
-    # end.  Only the two states of the current line are held.
-    states = map(render, itertools.accumulate(scenario.steps, apply_step, initial=scenario.start))
+def _scenario_lines(
+    steps: Sequence[DuplicationStep], states: Iterable[str], render: Callable[[Iterable[int]], str]
+) -> Iterator[str]:
+    # The states come from the caller, each rendered once, the start first:
+    # one step's result is the next step's start and, after the last step,
+    # the end.  Only the two states of the current line are held.
+    states = iter(states)
     before = next(states)
-    for i, (step, after) in enumerate(zip(scenario.steps, states), start=1):
+    for i, (step, after) in enumerate(zip(steps, states), start=1):
         kept = render(sorted(step.kept_first)) or "-"
         yield f"step {i}: keep {kept} | {before} -> {after}"
         before = after
@@ -270,14 +272,18 @@ def _scenario_lines(scenario: Scenario, render: Callable[[Iterable[int]], str]) 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
     target = parse_permutation(args.perm)
-    scenario = synthesize_scenario(target)
+    scenario, states = _synthesis(target)
     if args.format == "json":
         print(json.dumps(scenario_to_json(scenario)))
         return 0
-    # Every state holds the values 1..n, so one table names them all.
+    # Every state holds the values 1..n, so one table names them all.  The
+    # states come as their runs, laid end to end here; the last is the
+    # target, whose text is already at hand.
     render = _word_renderer(target.n)
-    _emit([f"target: {render(target)}", f"steps: {len(scenario.steps)}"])
-    _emit(_scenario_lines(scenario, render))
+    shown = render(target)
+    _emit([f"target: {shown}", f"steps: {len(scenario.steps)}"])
+    words = map(itertools.chain.from_iterable, states[:-1])
+    _emit(_scenario_lines(scenario.steps, itertools.chain(map(render, words), [shown]), render))
     return 0
 
 
@@ -291,7 +297,9 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         print(json.dumps(scenario_to_json(scenario)))
         return 0
     _emit([f"n: {n}", f"steps: {args.steps}", f"seed: {args.seed}"])
-    _emit(_scenario_lines(scenario, _word_renderer(n)))
+    render = _word_renderer(n)
+    states = itertools.accumulate(scenario.steps, apply_step, initial=scenario.start)
+    _emit(_scenario_lines(scenario.steps, map(render, states), render))
     return 0
 
 

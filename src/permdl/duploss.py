@@ -17,9 +17,12 @@ anything.
 Steps run as C-level passes over the word: ``apply_step`` splits it with
 ``itertools.compress`` and ``filterfalse`` on membership in the kept set,
 so hosts of 10^5 values cost no per-value Python loop.  The synthesis reads
-the target's runs once and then merges those blocks of values round by
-round: it never builds or rescans an intermediate word.  States are built
-only by replaying steps, and every replay folds ``apply_step`` over them.
+the target's runs once and then merges those sorted blocks of values round
+by round: it never rescans an intermediate word, and each intermediate
+state is just its round's blocks, which are its runs, laid end to end.
+``replay`` and every other route that is given steps rather than a target
+fold ``apply_step`` over them, and that replay is the oracle the
+synthesis's states are tested against.
 
 Randomized scenarios use an explicit splitmix64 generator (documented on
 ``SplitMix64``) rather than the interpreter's RNG so that seeded runs are
@@ -31,6 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from .perm import Permutation, descent_count, identity, maximal_runs
 
@@ -123,17 +127,31 @@ def synthesize_scenario(target: Permutation) -> Scenario:
     itself at least the minimum that starts block i+1, so that word descends
     at every block boundary and never inside a block.  The next round can
     therefore merge the blocks themselves, and the runs are read once, from
-    ``target``.  A step depends only on which values each block holds, so
-    blocks are concatenated, never sorted, and no intermediate word is built.
+    ``target``.  Each merge is one sort of two sorted runs, which is linear,
+    and the earlier permutation is its blocks concatenated, so every state
+    of the derivation comes out of the same loop (see ``_synthesis``).
     """
+    return _synthesis(target)[0]
+
+
+def _synthesis(target: Permutation) -> tuple[Scenario, list[Sequence[Sequence[int]]]]:
+    # The scenario of ``synthesize_scenario`` and its states, the identity
+    # first and the target last.  Each state is given as its runs, the sorted
+    # blocks of one round: laid end to end they are the word a replay of the
+    # steps passes through, and holding them spares a copy of n values per
+    # step.
     blocks = maximal_runs(target).runs
     steps: list[DuplicationStep] = []
+    states = [blocks]
     while len(blocks) > 1:
         m = (len(blocks) + 1) // 2
         steps.append(DuplicationStep(frozenset(itertools.chain.from_iterable(blocks[:m]))))
-        blocks = [a + b for a, b in itertools.zip_longest(blocks[:m], blocks[m:], fillvalue=())]
+        pairs = itertools.zip_longest(blocks[:m], blocks[m:], fillvalue=())
+        blocks = [sorted(itertools.chain(a, b)) for a, b in pairs]
+        states.append(blocks)
     steps.reverse()
-    return Scenario(identity(target.n), tuple(steps), target)
+    states.reverse()
+    return Scenario(identity(target.n), tuple(steps), target), states
 
 
 class SplitMix64:

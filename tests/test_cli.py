@@ -611,10 +611,14 @@ class TestScenario:
     def test_plain(self, capsys):
         code, out, _ = run(capsys, "scenario", "6 9 8 4 1 3 7 2 5")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "target: 6 9 8 4 1 3 7 2 5"
-        assert lines[1] == "steps: 3"
-        assert lines[-1] == "end: 6 9 8 4 1 3 7 2 5"
+        assert out == (
+            "target: 6 9 8 4 1 3 7 2 5\n"
+            "steps: 3\n"
+            "step 1: keep 1 3 4 6 7 9 | 1 2 3 4 5 6 7 8 9 -> 1 3 4 6 7 9 2 5 8\n"
+            "step 2: keep 1 2 3 5 6 7 8 9 | 1 3 4 6 7 9 2 5 8 -> 1 3 6 7 9 2 5 8 4\n"
+            "step 3: keep 4 6 8 9 | 1 3 6 7 9 2 5 8 4 -> 6 9 8 4 1 3 7 2 5\n"
+            "end: 6 9 8 4 1 3 7 2 5\n"
+        )
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "scenario", "2 1", "--format", "json")

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from permdl import (
     scenario_to_json,
     synthesize_scenario,
 )
+from permdl.duploss import _synthesis
 
 from helpers import all_steps, bfs_distances, halving_by_rescan, list_step
 
@@ -127,14 +129,22 @@ class TestSynthesize:
     @staticmethod
     def check_against_rescan(p):
         # Same kept sets as the derivation that rebuilds and rescans every
-        # word, and each replayed state has half its successor's runs,
-        # rounded up.
-        scenario = synthesize_scenario(p)
-        assert [step.kept_first for step in scenario.steps] == halving_by_rescan(p.values)
-        states = list(itertools.accumulate(scenario.steps, apply_step, initial=scenario.start))
-        assert states[-1] == p
-        for before, after in zip(states, states[1:]):
+        # word, each replayed state has half its successor's runs, rounded
+        # up, and the states the synthesis reads off its sorted blocks are
+        # exactly the runs of the replayed ones, so the blocks laid end to
+        # end are the replayed words.
+        scenario, states = _synthesis(p)
+        assert synthesize_scenario(p) == scenario
+        kept_sets = halving_by_rescan(p.values)
+        assert [step.kept_first for step in scenario.steps] == kept_sets
+        replayed = list(itertools.accumulate(scenario.steps, apply_step, initial=scenario.start))
+        assert replayed[-1] == p
+        assert [list(map(tuple, runs)) for runs in states] == [list(maximal_runs(q).runs) for q in replayed]
+        for before, after in zip(replayed, replayed[1:]):
             assert maximal_runs(before).count == -(-maximal_runs(after).count // 2)
+        assert scenario_to_json(scenario) == {
+            "n": p.n, "steps": [sorted(kept) for kept in kept_sets], "end": list(replayed[-1].values)
+        }
 
     def test_replays_to_target_exhaustively(self):
         for n in range(1, 8):
@@ -155,8 +165,12 @@ class TestSynthesize:
         self.check_against_rescan(Permutation(tuple(values)))
 
     def test_matches_rescan_on_large_hosts(self):
-        for steps, seed in ((1, 0), (3, 1), (6, 2), (9, 3)):
-            self.check_against_rescan(random_evolution(10**4, steps, seed).end)
+        n = 10**4
+        shuffled = list(range(1, n + 1))
+        random.Random(5).shuffle(shuffled)
+        walks = [random_evolution(n, steps, seed).end for steps, seed in ((1, 0), (3, 1), (6, 2), (9, 3))]
+        for host in (*walks, Permutation(tuple(shuffled)), Permutation(tuple(range(n, 0, -1)))):
+            self.check_against_rescan(host)
 
 
 class TestSplitMix:
