@@ -8,8 +8,9 @@ and prints each ``--series`` line from ``count_basis``.
 ``count_basis`` again and must print rows equal to those ``permdl.minimal``
 holds.
 ``cli_digest.py`` digests a small corpus and compares it with
-its own digests.  ``regen_goldens.py`` is left out: it rewrites
-``tests/golden``.
+its own digests, and its full corpus must match the committed
+``tests/golden/cli_digest.json`` byte for byte.  ``regen_goldens.py`` is
+left out: it rewrites ``tests/golden``.
 """
 
 import ast
@@ -92,8 +93,19 @@ def test_cli_digest_compares_runs(tmp_path):
     saved.write_text(first.stdout)
     again = subprocess.run([*script, "--against", str(saved)], env=env, capture_output=True, text=True, timeout=60)
     assert (again.returncode, again.stdout) == (0, f"0 of {len(digests)} argv differ\n")
-    digests[0]["err"] = "0" * 64
+    digests[0]["err"] = "0" * 16
     saved.write_text(json.dumps(digests))
     changed = subprocess.run([*script, "--against", str(saved)], env=env, capture_output=True, text=True, timeout=60)
     assert changed.returncode == 1
     assert changed.stdout.splitlines() == [f"err: {' '.join(digests[0]['argv'])}", f"1 of {len(digests)} argv differ"]
+
+
+def test_cli_digest_matches_golden():
+    # Every argv of the full corpus answers with the bytes the committed
+    # digests pin: exit code, stdout and stderr.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    golden = ROOT / "tests" / "golden" / "cli_digest.json"
+    script = [sys.executable, str(ROOT / "scripts" / "cli_digest.py"), "--against", str(golden)]
+    result = subprocess.run(script, env=env, capture_output=True, text=True, timeout=300)
+    count = len(json.loads(golden.read_text()))
+    assert (result.returncode, result.stdout.splitlines()[-1:]) == (0, [f"0 of {count} argv differ"]), result.stdout
