@@ -6,7 +6,7 @@ the labellings of the shape posets, the one production enumeration route,
 as sorted rows of digits, and every format is written from the
 text chunks of those rows: the library built them, so they are not checked
 again on the way out.  The plain generating tree is walked as rows of
-digits too and written through the same renderer.
+digits too, padded to one width, and written through the same renderer.
 
 One cap rule bounds every request: an answer is built whole in memory before
 it is printed, so one with more than MAX_LISTED parts is refused before
@@ -378,32 +378,30 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
 
     # Depth first, children in order, from a stack of rows: a size-2t node
     # is the bytes of its values, and its child with new last value i is
-    # the node with every value >= i bumped up by one, then 2t+2 and i
-    # (see eco_children).  A row's first value v is marked, stored as
-    # 128 + v and bumped as v is, so every child inherits the mark.  The cap
-    # keeps depth <= 12, so top + 128 < 256 for the largest value top; only
-    # the i in 2..top-1 bump, and the last entry of each half of a table is
-    # never read.
-    top = 2 * args.depth
-    half = {i: bytes(range(i)) + bytes(range(i + 1, 128)) + b"\0" for i in range(2, top)}
-    bump = {i: low + low.translate(bytes(range(128, 256)) * 2) for i, low in half.items()}
-    # A line is one digit top+1, named "  ", per level below the root, then
-    # its row: the marked value named "v", the others " v"; 0 ends the line.
-    indents = {2 * t: bytes([top + 1]) * (t - 1) for t in range(1, args.depth + 1)}
+    # the node with every value >= i bumped up by one, then 2t+2 and i (see
+    # eco_children).  The children are the i past the node's last value j:
+    # moves[2t][j-1:], where moves[2t] pairs bump[i] with 2t+2, i for
+    # i = 2..2t+1.  The cap keeps depth <= 12, so every value is one byte.
+    top, width = 2 * args.depth, 3 * args.depth - 1
+    bump = {i: bytes(range(i)) + bytes(range(i + 1, 256)) + b"\0" for i in range(2, top)}
+    moves = {size: [(bump[i], bytes((size + 2, i))) for i in range(2, size + 2)] for size in range(2, top, 2)}
+    # Every line has width digits, named by the listings' column rule: one
+    # digit top+1, "  ", per level below the root, then padding digits 0,
+    # "" (unnamed, they would print as NULs), then the row: "v ", "v\n".
+    prefixes = {2 * t: bytes([top + 1]) * (t - 1) + bytes(3 * (args.depth - t)) for t in range(1, args.depth + 1)}
 
     def walk() -> Iterator[bytes]:
-        stack = [bytes((128 + 2, 1))]
+        stack = [bytes((2, 1))]
         while stack:
             row = stack.pop()
             size = len(row)
-            yield indents[size] + row
+            yield prefixes[size] + row
             if size < top:
-                label = size + 1 - row[-1]
-                stack += [row.translate(bump[i]) + bytes((size + 2, i)) for i in range(size + 2 - label, size + 2)]
+                stack += [row.translate(table) + tail for table, tail in moves[size][row[-1] - 1 :]]
 
-    names = {0: "\n", top + 1: "  ", **{v: f" {v}" for v in range(1, top + 1)}}
-    names.update((128 + v, str(v)) for v in range(1, top + 1))
-    sys.stdout.writelines(_line_chunks(walk(), names))
+    values = range(1, top + 1)
+    names = {0: "", top + 1: "  ", **{v: f"{v} " for v in values}}
+    sys.stdout.writelines(_line_chunks(walk(), names, {v: f"{v}\n" for v in values}, width))
     print(f"level sizes: {' '.join(str(s) for s in sizes)}")
     return 0
 

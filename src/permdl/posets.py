@@ -28,7 +28,7 @@ and text is made with no Python step per word or digit and no search of
 the text: one ``bytes.translate`` per character column of the value
 names, interleaved, with the last value of each row named with its line
 break, and stripped of padding where names differ in width.  The plain
-generating tree is written through the same renderer (``_line_chunks``).
+generating tree's lines, padded to one width, go the same way.
 From n = 256 on, which only the one-member slice n = d+1 and single
 posets of 256 nodes or more reach, a row is the tuple of its values and
 its text is joined value by value.
@@ -181,8 +181,8 @@ def _peel(poset: DiamondPoset, seed, grow):
     # The down-set DP behind count_labellings and the listings: values n..1
     # go one per layer to a maximal node of the remaining down-set, keyed by
     # its bitmask.  The whole poset carries seed, and a move that labels
-    # node with value carries grow(carried, value, node); what reaches one
-    # down-set from several is summed: counts add, digit rows concatenate.
+    # node with value turns its target's total so far into grow(total,
+    # carried, value, node): counts add, digit rows concatenate.
     offsets = _cover_offsets(poset)
     layer = {(1 << poset.size) - 1: seed}
     for value in range(poset.size, 0, -1):
@@ -198,7 +198,7 @@ def _peel(poset: DiamondPoset, seed, grow):
             while free:
                 bit = free & -free
                 free ^= bit
-                below[mask ^ bit] += grow(carried, value, bit.bit_length())
+                below[mask ^ bit] = grow(below[mask ^ bit], carried, value, bit.bit_length())
         layer = below
     return layer[0]
 
@@ -224,17 +224,18 @@ def _labelling_rows(posets: Iterable[DiamondPoset], n: int) -> list:
     # The labellings of several posets on n nodes, merged and sorted as
     # rows (see _sorted_rows).  The peel carries one buffer of rows per
     # down-set, n+1 digits to a partial labelling, 0 at its unlabelled nodes
-    # and at its end; labelling node with value copies the buffer and writes
-    # value into every row with one strided slice assignment.  A layer holds
-    # one row per partial labelling, each with its own completions, so it
-    # never outgrows the final list.
+    # and at its end; labelling node with value appends the buffer to the
+    # target's and writes value into each appended row with one strided
+    # slice assignment.  A layer holds one row per partial labelling, each
+    # with its own completions, so it never outgrows the final list.
     step = n + 1
     make = bytearray if n < 1 << 8 else functools.partial(array, _digit_code(n))
 
-    def grow(rows, value: int, node: int):
-        rows = rows[:]
-        rows[node - 1 :: step] = make((value,)) * (len(rows) // step)
-        return rows
+    def grow(total, rows, value: int, node: int):
+        start = len(total)
+        total += rows
+        total[start + node - 1 :: step] = make((value,)) * (len(rows) // step)
+        return total
 
     digits = make()
     for poset in posets:
@@ -265,22 +266,22 @@ def _unpack(rows: list, n: int) -> Iterator[tuple[int, ...]]:
 _CHUNK_LINES = 1 << 14
 
 
-def _byte_renderer(names: dict[int, str], ends: dict | None = None, n: int = 0) -> Callable[[bytes], str]:
-    # Text of one-byte digits, digit v named names[v], with no Python step
-    # per digit and no search of the text: character c of every name, NUL
-    # past its end, is one bytes.translate of the digits, written into every
-    # width-th byte of the text.  Given ends, the digits are rows of n and
-    # the last digit of each is named ends[v] instead: its characters are
-    # written over every (n * width)-th byte.  Deleting the NULs closes the
-    # gaps; when all names have one width there are none.
-    lengths = {len(name) for name in [*names.values(), *(ends or {}).values()]}
+def _byte_renderer(names: dict[int, str], ends: dict[int, str], n: int) -> Callable[[bytes], str]:
+    # Text of rows of n one-byte digits, digit v named names[v] and the last
+    # digit of each row ends[v], with no Python step per digit and no search
+    # of the text: character c of every name, NUL past its end, is one
+    # bytes.translate of the digits, written into every width-th byte of the
+    # text, and character c of every end is written over every
+    # (n * width)-th byte.  Deleting the NULs closes the gaps; when all names
+    # have one width there are none.
+    lengths = {len(name) for name in [*names.values(), *ends.values()]}
     width = max(lengths)
 
     def tables(names: dict[int, str]) -> list[bytes]:
         padded = "".join(names.get(v, "").ljust(width, "\0") for v in range(256)).encode("ascii")
         return [padded[c::width] for c in range(width)]
 
-    columns, last_columns = tables(names), tables(ends) if ends else []
+    columns, last_columns = tables(names), tables(ends)
 
     def render(raw: bytes) -> str:
         text = bytearray(len(raw) * width)
@@ -293,13 +294,12 @@ def _byte_renderer(names: dict[int, str], ends: dict | None = None, n: int = 0) 
     return render
 
 
-def _line_chunks(lines: Iterable[bytes], names: dict[int, str]) -> Iterator[str]:
-    # Lines of one-byte digits, none of them 0, as text, _CHUNK_LINES lines
-    # per chunk; digit v is named names[v], and names[0] ends each line.
-    render = _byte_renderer(names)
-    lines = iter(lines)
+def _line_chunks(lines: Iterator[bytes], names: dict[int, str], ends: dict[int, str], n: int) -> Iterator[str]:
+    # Lines of n one-byte digits as text, _CHUNK_LINES lines per chunk,
+    # named as _byte_renderer names them.
+    render = _byte_renderer(names, ends, n)
     while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-        yield render(b"\0".join(chunk) + b"\0")
+        yield render(b"".join(chunk))
 
 
 def _word_chunks(rows: list, n: int) -> Iterator[str]:
@@ -325,9 +325,9 @@ def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:
 
     The peel of ``count_labellings`` run over rows of digits instead of
     counts: each down-set carries one buffer of partial labellings, n+1
-    digits each, and labelling a node with a value writes that value into
-    every row of a copy of the buffer with one strided slice assignment.
-    The rows are sorted, which is lexicographic order, and yielded as
+    digits each, and labelling a node with a value appends the buffer to
+    the target's, writing that value into each appended row with one
+    strided slice assignment.  The rows are sorted, which is lexicographic order, and yielded as
     permutations in position order.  Counts stay small at the scales this
     project works at (bounded by a Catalan number), so the full set is
     materialized before sorting.
@@ -345,7 +345,7 @@ def count_labellings(poset: DiamondPoset) -> int:
     block structure keeps the number of distinct down-sets small, far below
     2**n.  ``authorized_labellings`` runs the same peel over rows of digits.
     """
-    return _peel(poset, 1, lambda ways, value, node: ways)
+    return _peel(poset, 1, lambda total, ways, value, node: total + ways)
 
 
 def poset_edges(poset: DiamondPoset) -> str:

@@ -363,21 +363,22 @@ class TestListingRoute:
     def test_tree_lines_in_depth_first_order(self, capsys, monkeypatch):
         # The plain tree is a preorder walk of the generating tree, each
         # node indented two spaces per level below the root, however its
-        # lines are split into text chunks.
-        depth = 9
-
-        def preorder(node, level):
+        # lines are split into text chunks.  Through depth 4 every value's
+        # name is as wide as the indent's, so only the named padding keeps
+        # NUL bytes out of the text.
+        def preorder(node, level, depth):
             yield "  " * level + str(node.perm) + "\n"
             if level + 1 < depth:
                 for kid in eco_children(node):
-                    yield from preorder(kid, level + 1)
+                    yield from preorder(kid, level + 1, depth)
 
-        text = "".join(preorder(eco_root(), 0))
-        for chunk_lines in (1, 7, posets._CHUNK_LINES):
-            monkeypatch.setattr(posets, "_CHUNK_LINES", chunk_lines)
-            code, out, _ = run(capsys, "bijection", "tree", "--depth", str(depth))
-            assert code == 0 and out[: len(text)] == text
-            assert out[len(text) :].startswith("level sizes: ") and out[len(text) :].count("\n") == 1
+        for depth in range(1, 10):
+            text = "".join(preorder(eco_root(), 0, depth))
+            for chunk_lines in (1, 7, posets._CHUNK_LINES):
+                monkeypatch.setattr(posets, "_CHUNK_LINES", chunk_lines)
+                code, out, _ = run(capsys, "bijection", "tree", "--depth", str(depth))
+                assert code == 0 and out[: len(text)] == text
+                assert out[len(text) :].startswith("level sizes: ") and out[len(text) :].count("\n") == 1
 
     def test_reversed_identity_past_one_byte_digits(self, capsys):
         # The one member of the size-(d+1) slice, with values past 255.
