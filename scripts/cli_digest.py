@@ -35,9 +35,9 @@ and json) on two Dyck members of sizes 1,000 and 10,000 (501 and 5,001 runs),
 (plain and json) on one seeded shuffle of 1..10,000, counts at sizes d+3 and
 2d-2 for d = 10, 20, 30 and 40, counts past 4,300 digits, the json listing
 of the (13, 15) slice (32,556 members, two text chunks) whole and cut at
-20,000, the plain (7, 11) and (15, 17) listings, the
-one-member (255, 256) and (65535, 65536) slices in plain, json and csv,
-whole and with ``--limit 1`` (two- and four-byte digits), and the refusals.
+20,000, the plain (7, 11) and (15, 17) listings, the one-member
+(255, 256) and (65535, 65536) slices in plain, json and csv, whole and
+with ``--limit 1`` (two- and four-byte digits), and the refusals.
 It also holds the flags a request would ignore, which are usage errors:
 ``stats --grid --format json|csv`` for each permutation of ``PERMS``, and
 ``bijection phi1|phi2 --invert`` beside ``-d`` (phi1 with its member's own
@@ -47,9 +47,9 @@ listing floor take about 13 s or forever on
 ``-d 1000000000 -n 2000000000``) are left out, so the corpus runs on those
 checkouts too; ``-d 182 -n 186`` (about 5 s there) is in.
 ``--max-d`` sets D (default 9); the trees up to depth 8, the small phi
-subsets and the compositions stop at D too.  The full corpus, 3,267 argv, takes
-about 4 s (Python 3.11, 2-core VM), of which the trees of depths 11 and
-12 take about 0.14 s and 0.3 s.
+subsets and the compositions stop at D too.  The full corpus, 3,267 argv,
+takes about 4 s (Python 3.11, 2-core VM), of which the trees of depths 11
+and 12 take about 0.14 s and 0.3 s.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ JSON_LISTINGS = [
 
 # The largest plain listings the benchmark times: 143,616 and 130,798
 # members, each past one text chunk.  Plain trees from depth 9 up to the
-# depth cap of 12 (6,917 to 290,511 nodes) follow: the text of each line
-# is laid out from the depth of its tree.
+# depth cap of 12 (6,917 to 290,511 nodes) follow, since each depth lays
+# its lines out at its own width.
 LARGE_LISTINGS = [
     ["enumerate", "-d", "7", "-n", "11"],
     ["enumerate", "-d", "15", "-n", "17"],
