@@ -5,8 +5,11 @@ Each argv of the corpus runs through ``permdl.cli.main`` in this process,
 with stdout and stderr captured.  The script writes a JSON list with one
 object per argv, one line each: the argv, the first 16 hex digits of a
 sha256 of (exit code, stdout) and of a sha256 of stderr, so a change of
-refusal text can be told from a change of answer.  Run it on two checkouts
-and compare, to show that a change of the CLI keeps its bytes:
+refusal text can be told from a change of answer.  An argv element longer
+than 64 characters (a host of 10,000 values, say) is written, and compared,
+as ``sha256:`` and the first 16 hex digits of its own sha256.  Run it on
+two checkouts and compare, to show that a change of the CLI keeps its
+bytes:
 
     PYTHONPATH=src python scripts/cli_digest.py > before.json
     # ... change the code ...
@@ -14,7 +17,7 @@ and compare, to show that a change of the CLI keeps its bytes:
 
 With ``--against FILE`` nothing is written; each argv whose digests differ
 from FILE is printed with what differs, and the exit code is 1 if any do.
-``tests/golden/cli_digest.json`` holds the digests of the default corpus,
+``tests/golden/cli_digest.json`` holds the digests of the corpus,
 and the test suite runs the corpus against it.  A change that means to
 change bytes regenerates that file in the same diff:
 
@@ -22,7 +25,7 @@ change bytes regenerates that file in the same diff:
 
 and names in CHANGES.md each argv whose digests changed, and why.
 
-The corpus holds every ``enumerate -d 0..D`` table and every ``-n 0..2d+2``
+The corpus holds every ``enumerate -d 0..9`` table and every ``-n 0..2d+2``
 slice in every format, alone, with ``--limit 3`` and with ``--count-only``;
 trees to depth 8 in plain text and json, and plain trees of depths 9 to
 12, the cap; both phi maps forward and inverted for every non-interval
@@ -37,7 +40,8 @@ and json) on two Dyck members of sizes 1,000 and 10,000 (501 and 5,001 runs),
 of the (13, 15) slice (32,556 members, two text chunks) whole and cut at
 20,000, the plain (7, 11) and (15, 17) listings, the one-member
 (255, 256) and (65535, 65536) slices in plain, json and csv, whole and
-with ``--limit 1`` (two- and four-byte digits), and the refusals.
+with ``--limit 1`` (two- and four-byte digits), the refusals, and values
+of 5,000 digits in ``stats``, ``bijection phi1`` and ``poset --composition``.
 It also holds the flags a request would ignore, which are usage errors:
 ``stats --grid --format json|csv`` for each permutation of ``PERMS``, and
 ``bijection phi1|phi2 --invert`` beside ``-d`` (phi1 with its member's own
@@ -46,10 +50,8 @@ listing floor take about 13 s or forever on
 (``enumerate -d 500000 -n 1000000``, ``-d 500000 -n 999999``,
 ``-d 1000000000 -n 2000000000``) are left out, so the corpus runs on those
 checkouts too; ``-d 182 -n 186`` (about 5 s there) is in.
-``--max-d`` sets D (default 9); the trees up to depth 8, the small phi
-subsets and the compositions stop at D too.  The full corpus, 3,267 argv,
-takes about 4 s (Python 3.11, 2-core VM), of which the trees of depths 11
-and 12 take about 0.14 s and 0.3 s.
+The corpus, 3,270 argv, takes about 4 s (Python 3.11, 2-core VM), of
+which the trees of depths 11 and 12 take about 0.14 s and 0.3 s.
 """
 
 from __future__ import annotations
@@ -112,6 +114,14 @@ DIAGONAL_COUNTS = [
     for fmt in ("plain", "json")
 ]
 
+# Values with more digits than the interpreter turns into an int by
+# default, in a permutation, a phi subset and a composition.
+LONG_TOKENS = [
+    ["stats", "1 " + "9" * 5000],
+    ["bijection", "phi1", "-d", "3", "1," + "9" * 5000],
+    ["poset", "--composition", "2," + "9" * 5000, "--format", "json"],
+]
+
 # A json listing past one text chunk of 16,384 lines, whole and cut.
 JSON_LISTINGS = [
     ["enumerate", "-d", "13", "-n", "15", "--format", "json"],
@@ -145,7 +155,7 @@ SHUFFLED = list(range(1, 10_001))
 random.Random(1).shuffle(SHUFFLED)
 
 
-def corpus(max_d: int) -> list[list[str]]:
+def corpus() -> list[list[str]]:
     out = []
     for steps in MANY_RUNS:
         perm = str(dyck_to_perm(DyckPath(steps)))
@@ -164,21 +174,21 @@ def corpus(max_d: int) -> list[list[str]]:
     for n, steps, seed in ((8, 3, 0), (12, 5, 7), (0, 2, 1), (-1, 2, 1), (3, -1, 1)):
         out += [["evolve", "-n", str(n), "--steps", str(steps), "--seed", str(seed), "--format", fmt] for fmt in ("plain", "json")]
     shapes = [["--ladder", "4"], ["--ladder", "1000"], ["--composition", "3,3,1,7,2"], ["--composition", "2,0"], ["--ladder", "3", "--composition", "1"], []]
-    for d in range(1, min(max_d, 6) + 1):
+    for d in range(1, 7):
         for n in range(d + 1, 2 * d + 1):
             shapes += [["--composition", ",".join(map(str, c.run_lengths))] for c in compositions(d, n)]
     for shape in shapes:
         out += [["poset", *shape, "--format", fmt] for fmt in ("plain", "json")]
-    for d in range(0, max_d + 1):
+    for d in range(0, 10):
         for size in [None, *range(0, 2 * d + 3)]:
             for fmt in ("plain", "json", "csv", "bfile"):
                 for extra in ((), ("--limit", "3"), ("--count-only",)):
                     sized = [] if size is None else ["-n", str(size)]
                     out.append(["enumerate", "-d", str(d), *sized, "--format", fmt, *extra])
     out.append(["enumerate", "-d", "3", "-n", "5", "--limit", "0"])
-    for depth in range(0, min(max_d, 8) + 1):
+    for depth in range(0, 9):
         out += [["bijection", "tree", "--depth", str(depth), "--format", fmt] for fmt in ("plain", "json")]
-    subsets = [s for d in range(1, min(max_d, 6) + 1) for s in non_interval_subsets(d)]
+    subsets = [s for d in range(1, 7) for s in non_interval_subsets(d)]
     subsets += [NonIntervalSubset(200, frozenset(elements)) for elements in PHI_D200]
     for subset in subsets:
         text = ",".join(map(str, sorted(subset.elements)))
@@ -190,7 +200,13 @@ def corpus(max_d: int) -> list[list[str]]:
         out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
     out += [["bijection", "phi1", "", "-d", "3"], ["bijection", "phi2", " ", "-d", "3"]]
     out += [["bijection", "phi1", "--invert", "8 5 4 3 9 7 6 2 1", "-d", "7"], ["bijection", "phi2", "--invert", "7 6 2 1 5 4 3", "-d", "99"]]
-    return out + DIAGONAL_COUNTS + JSON_LISTINGS + LARGE_LISTINGS + WIDE_LISTINGS + REFUSALS + LARGE_COUNTS
+    return out + DIAGONAL_COUNTS + JSON_LISTINGS + LARGE_LISTINGS + WIDE_LISTINGS + REFUSALS + LARGE_COUNTS + LONG_TOKENS
+
+
+def key(arg: str) -> str:
+    # An argv element as the digests name it: itself, or past 64 characters
+    # the first 16 hex digits of its sha256.
+    return arg if len(arg) <= 64 else "sha256:" + hashlib.sha256(arg.encode()).hexdigest()[:16]
 
 
 def run(argv: list[str]) -> dict:
@@ -202,18 +218,17 @@ def run(argv: list[str]) -> dict:
             code = exc.code
     answer = f"{code}\n{out.getvalue()}".encode()
     return {
-        "argv": argv,
+        "argv": list(map(key, argv)),
         "out": hashlib.sha256(answer).hexdigest()[:16],
         "err": hashlib.sha256(err.getvalue().encode()).hexdigest()[:16],
     }
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--max-d", type=int, default=9, help="largest d of the enumerate requests")
     parser.add_argument("--against", default=None, help="digests to compare with, from an earlier run")
-    args = parser.parse_args()
-    digests = [run(argv) for argv in corpus(args.max_d)]
+    args = parser.parse_args(argv)
+    digests = [run(request) for request in corpus()]
     if args.against is None:
         print("[", ",\n".join(map(json.dumps, digests)), "]", sep="\n")
         return 0

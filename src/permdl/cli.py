@@ -3,10 +3,10 @@
 Every command is deterministic for fixed arguments (including --seed), and
 identical invocations print byte-identical output.  Slice listings come from
 the labellings of the shape posets, the one production enumeration route,
-as sorted rows of digits, and every format is written from the
-text chunks of those rows: the library built them, so they are not checked
-again on the way out.  The plain generating tree is walked as rows of
-digits too, padded to one width, and written through the same renderer.
+as sorted rows of digits that each format's separators render in one pass;
+the library built them, so they are not checked again on the way out.  Both
+tree formats come from one walk over rows of digits, and the plain one,
+padded to one width, goes through the same renderer.
 
 One cap rule bounds every request: an answer is built whole in memory before
 it is printed, so one with more than MAX_LISTED parts is refused before
@@ -40,12 +40,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bijections import (
     DyckPath,
-    EcoNode,
     NonIntervalSubset,
     _phi2_inverse,
     dyck_to_perm,
-    eco_children,
-    eco_root,
     perm_to_dyck,
     phi1,
     phi1_inverse,
@@ -233,23 +230,23 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     truncated = args.limit is not None and len(rows) > args.limit
     shown = rows[: args.limit] if truncated else rows
     if args.format == "json":
-        # json.dumps's text, written around the plain chunks: each line is
-        # one list, its values and the lists separated by ", ".
-        sys.stdout.write(json.dumps({"d": d, "n": n, "count": len(rows)})[:-1] + ', "members": [')
-        for i, chunk in enumerate(_word_chunks(shown, n)):
-            sys.stdout.write((", [" if i else "[") + chunk[:-1].replace(" ", ", ").replace("\n", "], [") + "]")
-        print("]" + (', "truncated": true' if truncated else "") + "}")
+        # json.dumps's text: each member one list, values and lists separated
+        # by ", ".  A member's "], [" opens the next list; the last closes all.
+        sys.stdout.write(f'{{"d": {d}, "n": {n}, "count": {len(rows)}, "members": ' + ("[[" if shown else "[]"))
+        sys.stdout.writelines(_word_chunks(shown[:-1], n, ", ", "], ["))
+        sys.stdout.writelines(_word_chunks(shown[-1:], n, ", ", "]]"))
+        print((', "truncated": true' if truncated else "") + "}")
         return 0
     if args.format == "csv":
-        # The CSV rows are the plain lines, each after its index.  zip
-        # draws a line first, so no index is lost at the end of a chunk.
+        # The CSV rows are the plain lines, each after its index.
         print("index,permutation")
-        index = itertools.count(1)
-        for chunk in _word_chunks(shown, n):
-            sys.stdout.write("".join(f"{i},{line}\n" for line, i in zip(chunk.splitlines(), index)))
+        index = 1
+        for chunk in _word_chunks(shown, n, " ", "\n"):
+            sys.stdout.write("".join(map("%d,%s\n".__mod__, enumerate(lines := chunk.splitlines(), index))))
+            index += len(lines)
     else:
         print(f"# d={d} n={n} count={len(rows)}")
-        sys.stdout.writelines(_word_chunks(shown, n))
+        sys.stdout.writelines(_word_chunks(shown, n, " ", "\n"))
     if truncated:
         print(f"# truncated at {args.limit}")
     return 0
@@ -354,13 +351,6 @@ def cmd_bijection_phi(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tree_json(node: EcoNode, depth: int) -> dict:
-    payload: dict = {"perm": list(node.perm.values), "label": node.label}
-    if depth > 1:
-        payload["children"] = [_tree_json(kid, depth - 1) for kid in eco_children(node)]
-    return payload
-
-
 def cmd_bijection_tree(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise ValueError("depth must be at least 1")
@@ -372,36 +362,44 @@ def cmd_bijection_tree(args: argparse.Namespace) -> int:
         sizes.append(count_basis(t, 2 * t))
         nodes += sizes[-1]
         _refuse_over(nodes, f"a tree of depth {args.depth} has at least {nodes} nodes", hint=hint)
-    if args.format == "json":
-        print(json.dumps({"depth": args.depth, "root": _tree_json(eco_root(), args.depth)}))
-        return 0
 
-    # Depth first, children in order, from a stack of rows: a size-2t node
-    # is the bytes of its values, and its child with new last value i is
-    # the node with every value >= i bumped up by one, then 2t+2 and i (see
-    # eco_children).  The children are the i past the node's last value j:
-    # moves[2t][j-1:], where moves[2t] pairs bump[i] with 2t+2, i for
-    # i = 2..2t+1.  The cap keeps depth <= 12, so every value is one byte.
+    # Both formats walk the nodes as rows: a size-2t node is the bytes of its
+    # values, and its child with new last value i is the node with every value
+    # >= i bumped up by one, then 2t+2 and i (eco_children's rule).  Its
+    # children are the i past its last value j, moves[2t][j-1:], where moves[2t]
+    # pairs bump[i] with 2t+2, i for i = 2..2t+1: a stack pops them in
+    # eco_children's order.  The cap keeps depth <= 12: values are one byte.
     top, width = 2 * args.depth, 3 * args.depth - 1
     bump = {i: bytes(range(i)) + bytes(range(i + 1, 256)) + b"\0" for i in range(2, top)}
     moves = {size: [(bump[i], bytes((size + 2, i))) for i in range(2, size + 2)] for size in range(2, top, 2)}
+
+    def walk(prefixes: dict[int, bytes]) -> Iterator[bytes]:
+        # Depth first, each row after the prefix of its size.
+        stack = [bytes((2, 1))]
+        while stack:
+            row = stack.pop()
+            yield prefixes[len(row)] + row
+            if len(row) < top:
+                stack += [row.translate(table) + tail for table, tail in moves[len(row)][row[-1] - 1 :]]
+
+    if args.format == "json":
+        # In depth-first order each node is the next child of the last node
+        # one level up, whose list of children kids holds by its size.
+        kids: dict[int, list] = {0: []}
+        for row in walk(dict.fromkeys(range(2, top + 1, 2), b"")):
+            node: dict = {"perm": list(row), "label": len(row) - row[-1] + 1}
+            kids[len(row) - 2].append(node)
+            if len(row) < top:
+                node["children"] = kids[len(row)] = []
+        print(json.dumps({"depth": args.depth, "root": kids[0][0]}))
+        return 0
     # Every line has width digits, named by the listings' column rule: one
     # digit top+1, "  ", per level below the root, then padding digits 0,
     # "" (unnamed, they would print as NULs), then the row: "v ", "v\n".
     prefixes = {2 * t: bytes([top + 1]) * (t - 1) + bytes(3 * (args.depth - t)) for t in range(1, args.depth + 1)}
-
-    def walk() -> Iterator[bytes]:
-        stack = [bytes((2, 1))]
-        while stack:
-            row = stack.pop()
-            size = len(row)
-            yield prefixes[size] + row
-            if size < top:
-                stack += [row.translate(table) + tail for table, tail in moves[size][row[-1] - 1 :]]
-
     values = range(1, top + 1)
     names = {0: "", top + 1: "  ", **{v: f"{v} " for v in values}}
-    sys.stdout.writelines(_line_chunks(walk(), names, {v: f"{v}\n" for v in values}, width))
+    sys.stdout.writelines(_line_chunks(walk(prefixes), names, {v: f"{v}\n" for v in values}, width))
     print(f"level sizes: {' '.join(str(s) for s in sizes)}")
     return 0
 

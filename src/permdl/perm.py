@@ -136,7 +136,9 @@ def _integer(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
-        raise ValueError(f"not an integer: {tok!r}") from None
+        digits = tok[1:] if tok[0] in "+-" else tok  # int() refuses decimals only past its digit limit
+        what = f"value with {len(digits)} digits out of range" if digits.isdecimal() else f"not an integer: {tok!r}"
+        raise ValueError(what) from None
 
 
 def _descent_flags(word: Sequence[int]) -> Iterator[bool]:

@@ -20,15 +20,16 @@ strided slice assignment per move extends by a node.
 This module owns the listing rows and their text: the digit width, digit
 0 as the end of a peeled row, and the text chunks a listing is written
 in.  Callers get sorted rows from ``_slice_words`` and text from
-``_word_chunks``, which every listing format is written from; only the
-library (``enumerate_basis``, ``authorized_labellings``) takes tuples
-from ``_unpack``.  Below n = 256, where digits are one byte, a sorted row
-is a latin-1 str of n characters (list.sort compares those with memcmp),
-and text is made with no Python step per word or digit and no search of
-the text: one ``bytes.translate`` per character column of the value
-names, interleaved, with the last value of each row named with its line
-break, and stripped of padding where names differ in width.  The plain
-generating tree's lines, padded to one width, go the same way.
+``_word_chunks`` in their format's separators, between a row's values and
+after its last; only the library (``enumerate_basis``,
+``authorized_labellings``) takes tuples from ``_unpack``.  Below n = 256,
+a sorted row is a latin-1 str of n one-byte digits (list.sort compares
+those with memcmp), and text is made with no Python step per word or
+digit and no search of the text: one ``bytes.translate`` per character
+column of the value names, interleaved, with the last value of each row
+named with the row's end, and stripped of padding where names differ in
+width.  The plain generating tree's lines, padded to one width, go the
+same way.
 From n = 256 on, which only the one-member slice n = d+1 and single
 posets of 256 nodes or more reach, a row is the tuple of its values and
 its text is joined value by value.
@@ -302,22 +303,20 @@ def _line_chunks(lines: Iterator[bytes], names: dict[int, str], ends: dict[int, 
         yield render(b"".join(chunk))
 
 
-def _word_chunks(rows: list, n: int) -> Iterator[str]:
-    # The rows over 1..n as text, one line each, _CHUNK_LINES rows per
-    # chunk.  A wide row, the tuple of its values, is joined value by value.
-    # One-byte rows of a chunk are joined with nothing between them: value v
-    # is named "v ", and "v\n" as the last of its row, so "3 1 4 2\n" is
-    # written with its line break in place.
-    if n >= 1 << 8:
-        for start in range(0, len(rows), _CHUNK_LINES):
-            yield "".join(" ".join(map(str, w)) + "\n" for w in rows[start : start + _CHUNK_LINES])
-        return
-    if not rows:
-        return
+def _word_chunks(rows: list, n: int, sep: str, end: str) -> Iterator[str]:
+    # The rows over 1..n as text, _CHUNK_LINES rows per chunk: each row's
+    # values with sep between them and end after the last.  A wide row is
+    # joined value by value; one-byte rows are rendered with value v named
+    # v + sep, and v + end as the last of its row.
     values = range(1, n + 1)
-    render = _byte_renderer({v: f"{v} " for v in values}, {v: f"{v}\n" for v in values}, n)
+    if rows and n < 1 << 8:
+        render = _byte_renderer({v: f"{v}{sep}" for v in values}, {v: f"{v}{end}" for v in values}, n)
     for start in range(0, len(rows), _CHUNK_LINES):
-        yield render("".join(rows[start : start + _CHUNK_LINES]).encode("latin-1"))
+        chunk = rows[start : start + _CHUNK_LINES]
+        if n < 1 << 8:
+            yield render("".join(chunk).encode("latin-1"))
+        else:
+            yield "".join(sep.join(map(str, w)) + end for w in chunk)
 
 
 def authorized_labellings(poset: DiamondPoset) -> Iterator[Permutation]:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -33,6 +34,11 @@ from permdl import (
 from permdl.cli import main
 
 from helpers import digit_row, replay_rendered_scenario
+
+
+# The separators of a plain listing's lines and of a JSON listing's lists:
+# between the values of a row, and after its last.
+SEPARATORS = [(" ", "\n"), (", ", "], [")]
 
 
 def run(capsys, *argv):
@@ -143,11 +149,15 @@ class TestStats:
         assert "x" in err
 
     def test_invalid_values_exit_2_with_one_line(self, capsys):
-        for text, reason in (("1 1 2", "duplicate value 1"), ("1 5", "value 5 out of range 1..2"), ("0 1", "value 0")):
+        # A value past the interpreter's limit on the digits of an int is
+        # named by its digit count, not echoed.
+        cases = [("1 1 2", "duplicate value 1"), ("1 5", "value 5 out of range 1..2"), ("0 1", "value 0")]
+        cases += [("1 " + "9" * 5000, "value with 5000 digits out of range"), ("-" + "1" * 4301, "with 4301 digits")]
+        for text, reason in cases:
             code, out, err = run(capsys, "stats", text)
             assert code == 2
             assert out == ""
-            assert len(err.splitlines()) == 1
+            assert len(err.splitlines()) == 1 and len(err) < 100
             assert reason in err
 
 
@@ -347,6 +357,27 @@ class TestListingRoute:
                     [i, w] for i, w in enumerate(first, start=1)
                 ]
 
+    def test_json_and_csv_listings_equal_their_members(self, capsys, monkeypatch):
+        # Whole and cut to ten members, in text chunks down to one line, each
+        # json listing is json.dumps of the enumerate_basis members and each
+        # csv listing is each member after its index.
+        default = posets._CHUNK_LINES
+        slices = [(d, n) for d in range(1, 7) for n in range(d + 1, 2 * d + 1)] + [(7, 11), (13, 15)]
+        for d, n in slices:
+            members = [list(p.values) for p in enumerate_basis(d, n).members]
+            for limit in (None, 10):
+                shown, truncated = members[:limit], limit is not None and len(members) > limit
+                head = {"d": d, "n": n, "count": len(members), "members": shown}
+                want_json = json.dumps({**head, **({"truncated": True} if truncated else {})}) + "\n"
+                lines = [" ".join(map(str, w)) for w in shown]
+                want_csv = "index,permutation\n" + "".join(f"{i},{line}\n" for i, line in enumerate(lines, 1))
+                want_csv += f"# truncated at {limit}\n" if truncated else ""
+                argv = ["enumerate", "-d", str(d), "-n", str(n), *(() if limit is None else ("--limit", str(limit)))]
+                for chunk_lines in (1, 7, default):
+                    monkeypatch.setattr(posets, "_CHUNK_LINES", chunk_lines)
+                    assert run(capsys, *argv, "--format", "json") == (0, want_json, "")
+                    assert run(capsys, *argv, "--format", "csv") == (0, want_csv, "")
+
     def test_tree_levels_in_generating_tree_order(self, capsys):
         for depth in range(1, 11):
             code, out, _ = run(capsys, "bijection", "tree", "--depth", str(depth))
@@ -394,8 +425,8 @@ class TestListingRoute:
                 assert run(capsys, "enumerate", "-d", str(d), "-n", str(d + 1), "--format", fmt) == (0, out, "")
 
     def test_one_member_listing_is_the_reversed_identity(self, capsys):
-        # Built as one word, not peeled: the peel's big-int work grows with n
-        # in every one of its n layers.
+        # Built as one word, not peeled: the peel copies a row of n digits in
+        # each of its n layers, quadratic in all.
         d = 20000
         word = list(range(d + 1, 0, -1))
         text = " ".join(map(str, word))
@@ -411,27 +442,29 @@ class TestListingRoute:
 
     def test_wide_digits_render_like_words(self, monkeypatch):
         # Two- and four-byte digits, which only one-member slices and single
-        # posets of 256 nodes or more reach, split across text chunks.
+        # posets of 256 nodes or more reach, split across text chunks, with
+        # the separators of plain lines and of JSON lists.
         default = posets._CHUNK_LINES
-        for n in (256, 65536):
+        for n, (sep, end) in itertools.product((256, 65536), SEPARATORS):
             rng = random.Random(n)
             words = sorted([tuple(range(n, 0, -1)), *(tuple(rng.sample(range(1, n + 1), n)) for _ in range(4))])
-            want = "".join(" ".join(map(str, w)) + "\n" for w in words)
+            want = "".join(sep.join(map(str, w)) + end for w in words)
             for chunk_lines in (1, 2, default):
                 monkeypatch.setattr(posets, "_CHUNK_LINES", chunk_lines)
-                assert "".join(posets._word_chunks([digit_row(w, n) for w in words], n)) == want
+                assert "".join(posets._word_chunks([digit_row(w, n) for w in words], n, sep, end)) == want
 
     def test_one_byte_digits_render_at_every_name_width(self, monkeypatch):
         # Names of one to three digits, up to the largest one-byte n, in
-        # chunks down to one row: each chunk writes its own line breaks.
+        # chunks down to one row, with the separators of plain lines and of
+        # JSON lists: each chunk writes its own row ends.
         default = posets._CHUNK_LINES
-        for n in (1, 9, 10, 99, 100, 254, 255):
+        for n, (sep, end) in itertools.product((1, 9, 10, 99, 100, 254, 255), SEPARATORS):
             rng = random.Random(n)
             words = sorted({tuple(rng.sample(range(1, n + 1), n)) for _ in range(40)})
-            want = "".join(" ".join(map(str, w)) + "\n" for w in words)
+            want = "".join(sep.join(map(str, w)) + end for w in words)
             for chunk_lines in (1, 3, default):
                 monkeypatch.setattr(posets, "_CHUNK_LINES", chunk_lines)
-                assert "".join(posets._word_chunks([digit_row(w, n) for w in words], n)) == want
+                assert "".join(posets._word_chunks([digit_row(w, n) for w in words], n, sep, end)) == want
 
     def test_chunked_writes_change_no_byte(self, capsys, monkeypatch):
         cases = [
@@ -786,10 +819,17 @@ class TestBijectionCommands:
         assert run(capsys, "bijection", "tree", "--depth", "0") == (2, "", "error: depth must be at least 1\n")
 
     def test_tree_json(self, capsys):
-        code, out, _ = run(capsys, "bijection", "tree", "--depth", "2", "--format", "json")
-        data = json.loads(out)
-        assert data["root"]["perm"] == [2, 1]
-        assert [k["perm"] for k in data["root"]["children"]] == [[2, 1, 4, 3], [3, 1, 4, 2]]
+        # The json tree equals json.dumps of the tree eco_children grows:
+        # the same nodes, labels and children in the same order.
+        def tree(node, depth):
+            payload = {"perm": list(node.perm.values), "label": node.label}
+            if depth > 1:
+                payload["children"] = [tree(kid, depth - 1) for kid in eco_children(node)]
+            return payload
+
+        for depth in range(1, 9):
+            want = json.dumps({"depth": depth, "root": tree(eco_root(), depth)}) + "\n"
+            assert run(capsys, "bijection", "tree", "--depth", str(depth), "--format", "json") == (0, want, "")
 
 
 class TestPoset:

@@ -7,13 +7,15 @@ and prints each ``--series`` line from ``count_basis``.
 ``derive_forms.py`` derives rows 1..4 of the closed-form table of
 ``count_basis`` again and must print rows equal to those ``permdl.minimal``
 holds.
-``cli_digest.py`` digests a small corpus and compares it with
-its own digests, and its full corpus must match the committed
-``tests/golden/cli_digest.json`` byte for byte.  ``regen_goldens.py`` is
+``cli_digest.py``, loaded in this process with its corpus cut to a few argv,
+compares its digests with its own, and its full corpus must match the
+committed ``tests/golden/cli_digest.json`` byte for byte.  ``regen_goldens.py`` is
 left out: it rewrites ``tests/golden``.
 """
 
 import ast
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -80,24 +82,31 @@ def test_derive_forms_reproduces_the_table():
     assert ast.literal_eval(literal) == _FEW_ASCENTS[:4]
 
 
-def test_cli_digest_compares_runs(tmp_path):
-    # A small corpus digested twice agrees with itself; a changed digest is
-    # reported with its argv and exit code 1.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    script = [sys.executable, str(ROOT / "scripts" / "cli_digest.py"), "--max-d", "3"]
-    first = subprocess.run(script, env=env, capture_output=True, text=True, timeout=60)
-    assert first.returncode == 0, first.stderr
-    digests = json.loads(first.stdout)
-    assert {"argv", "out", "err"} == set(digests[0])
+def test_cli_digest_compares_runs(tmp_path, capsys, monkeypatch):
+    # A few argv digested twice agree with themselves; a changed digest is
+    # reported with its argv and exit code 1.  An argv element longer than
+    # 64 characters is written, and compared, as a prefix of its sha256.
+    spec = importlib.util.spec_from_file_location("cli_digest", ROOT / "scripts" / "cli_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    host = " ".join(map(str, range(30, 0, -1)))
+    requests = [["stats", "3 1 4 2"], ["check", host, "-d", "29"], ["enumerate", "-d", "3", "-n", "5"]]
+    monkeypatch.setattr(script, "corpus", lambda: requests)
+    assert script.main([]) == 0
+    first = capsys.readouterr().out
+    digests = json.loads(first)
+    assert [entry["argv"] for entry in digests] == [
+        requests[0],
+        ["check", "sha256:" + hashlib.sha256(host.encode()).hexdigest()[:16], "-d", "29"],
+        requests[2],
+    ]
     saved = tmp_path / "digests.json"
-    saved.write_text(first.stdout)
-    again = subprocess.run([*script, "--against", str(saved)], env=env, capture_output=True, text=True, timeout=60)
-    assert (again.returncode, again.stdout) == (0, f"0 of {len(digests)} argv differ\n")
-    digests[0]["err"] = "0" * 16
+    saved.write_text(first)
+    assert (script.main(["--against", str(saved)]), capsys.readouterr().out) == (0, "0 of 3 argv differ\n")
+    digests[1]["err"] = "0" * 16
     saved.write_text(json.dumps(digests))
-    changed = subprocess.run([*script, "--against", str(saved)], env=env, capture_output=True, text=True, timeout=60)
-    assert changed.returncode == 1
-    assert changed.stdout.splitlines() == [f"err: {' '.join(digests[0]['argv'])}", f"1 of {len(digests)} argv differ"]
+    assert script.main(["--against", str(saved)]) == 1
+    assert capsys.readouterr().out.splitlines() == [f"err: {' '.join(digests[1]['argv'])}", "1 of 3 argv differ"]
 
 
 def test_cli_digest_matches_golden():
