@@ -36,7 +36,9 @@ stats, check, scenario, dyck, evolve, poset, stats and ``scenario`` (plain
 and json) on two Dyck members of sizes 1,000 and 10,000 (501 and 5,001 runs),
 ``bijection dyck`` on those two paths and members both ways, ``scenario``
 (plain and json) on one seeded shuffle of 1..10,000, counts at sizes d+3 and
-2d-2 for d = 10, 20, 30 and 40, counts past 4,300 digits, the json listing
+2d-2 for d = 10, 20, 30 and 40, the counts only the rank scan answers (the
+``enumerate -d 13|20|30`` tables in plain text and json, and ``--count-only``
+at (30, 45) and (40, 60)), counts past 4,300 digits, the json listing
 of the (13, 15) slice (32,556 members, two text chunks) whole and cut at
 20,000, the plain (7, 11) and (15, 17) listings, the one-member
 (255, 256) and (65535, 65536) slices in plain, json and csv, whole and
@@ -50,7 +52,7 @@ listing floor take about 13 s or forever on
 (``enumerate -d 500000 -n 1000000``, ``-d 500000 -n 999999``,
 ``-d 1000000000 -n 2000000000``) are left out, so the corpus runs on those
 checkouts too; ``-d 182 -n 186`` (about 5 s there) is in.
-The corpus, 3,270 argv, takes about 4 s (Python 3.11, 2-core VM), of
+The corpus, 3,278 argv, takes about 4 s (Python 3.11, 2-core VM), of
 which the trees of depths 11 and 12 take about 0.14 s and 0.3 s.
 """
 
@@ -186,6 +188,9 @@ def corpus() -> list[list[str]]:
                     sized = [] if size is None else ["-n", str(size)]
                     out.append(["enumerate", "-d", str(d), *sized, "--format", fmt, *extra])
     out.append(["enumerate", "-d", "3", "-n", "5", "--limit", "0"])
+    # Counts only the rank scan answers: tables that read the band d+9..2d-4, and two band sizes.
+    out += [["enumerate", "-d", str(d), "--format", fmt] for d in (13, 20, 30) for fmt in ("plain", "json")]
+    out += [["enumerate", "-d", str(d), "-n", str(n), "--count-only"] for d, n in ((30, 45), (40, 60))]
     for depth in range(0, 9):
         out += [["bijection", "tree", "--depth", str(depth), "--format", fmt] for fmt in ("plain", "json")]
     subsets = [s for d in range(1, 7) for s in non_interval_subsets(d)]

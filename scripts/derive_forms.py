@@ -43,8 +43,8 @@ the table it derives, only ``_rank_scan``.
 
 It prints the table as a Python literal equal to the one ``permdl.minimal``
 holds: per row, a common denominator and the integer coefficients of each
-P_i times it, lowest degree first.  The eight rows take about 60 s (Python
-3.11, 2-core VM), nearly all of it in rows 7 and 8 (about 15 s and 43 s):
+P_i times it, lowest degree first.  The eight rows take about 20 s (Python
+3.11, 2-core VM), nearly all of it in rows 7 and 8 (about 4 s and 12 s):
 their scans up to d = 84 and d = 108 and their exact solves over 70 and 92
 unknowns.
 

@@ -25,7 +25,7 @@ of ``count_basis`` calls would rescan every short prefix once per size.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -178,44 +178,39 @@ def _rank_scan(d: int, lo: int, hi: int | None = None) -> dict[int, int]:
     # the band has at least `least` and at most `most`: the whole table
     # d+1..2d takes 0 and d-1, a single size n takes n-1-d for both.  A
     # prefix of length m with k ascents has slack = d - m + 2k - least,
-    # the descents it has left beyond the ascents it still owes; a
-    # descent, and so a completion, needs slack >= 0, and an ascent, which
-    # owes one more descent, needs slack >= -1.  Members have at most
-    # d + most + 1 values.
+    # the descents it has left beyond the ascents it still owes.  Only
+    # prefixes that end in a descent are held: held[m, k] is a matrix
+    # whose row b = 1..m holds the ways to end in ranks a > b, a = b+1..m.
     least = lo - 1 - d
     most = (lo if hi is None else hi) - 1 - d
-    # States of the prefixes of length m, keyed (k, up, b); the only prefix
-    # of length 2 is the descent 2 1, a member with no ascent when d = 1.
+    # The only prefix of length 2 is the descent 2 1, a member when d = 1.
     counts = {2: 1} if d == 1 and least == 0 else {}
-    states: dict[tuple[int, int, int], list[int]] = {(0, 0, 1): [0, 0, 1]}
-    for m in range(2, d + most + 1):
-        # Columns of the prefixes of length m+1, indexed by a in 1..m+1.
-        grown: defaultdict[tuple[int, int, int], list[int]] = defaultdict(lambda: [0] * (m + 2))
-        done = 0
-        for (k, up, b), column in states.items():
-            below = list(itertools.accumulate(column))  # below[r - 1]: ways with a < r
-            slack = d - m + 2 * k - least
-            if slack >= 0:
-                if m - k == d:
-                    # A prefix with d-1 descents: a descent uses the last
-                    # one and makes it a whole member, which cannot grow (an
-                    # ascent needs a later descent), so it is counted and
-                    # never stored.
-                    done += sum(below[:b]) if up else b * below[-1]
-                else:
-                    # Descent to rank r <= b; after an ascent it must clear
-                    # the ascent's bottom a.
-                    for r, ways in enumerate(below[:b] if up else [below[-1]] * b, 1):
-                        if ways:
-                            grown[k, 0, r][b + 1] += ways
-            if not up and k < most and slack >= -1:
-                # Ascent to rank r > b, whose top must clear a.
-                for r, ways in enumerate(below[b:], b + 1):
-                    if ways:
-                        grown[k + 1, 1, r][b] += ways
-        if done:
-            counts[m + 1] = done
-        states = grown
+    held = {(2, 0): [[1], []]}
+    while held:
+        m, k = key = min(held)  # the shortest, so every move into it is in
+        rows = held.pop(key)
+        slack = d - m + 2 * k - least
+        moves = []
+        if slack >= 0:
+            # A descent, to rank r <= b: row r gets row b's total at a = b+1.
+            totals = list(map(sum, rows))
+            moves.append((m + 1, k, [totals[r:] for r in range(m + 1)]))
+        if slack >= -1 and k < most:
+            # An ascent to rank s > a, then a descent to rank r, b < r <= s,
+            # whose slack is one more: row r gets at a = s+1 the ways with
+            # b' < r and a' < s.  Row b of `across` sums a' < s for s =
+            # b+1..m+1; row r of `sums` adds up rows b' < r of `across` for
+            # s = r..m+1, and row m+2 is empty.
+            across = [list(itertools.accumulate(row, initial=0)) for row in rows]
+            sums = itertools.accumulate(across, lambda x, y: [*map(operator.add, x[1:], y)], initial=[0] * (m + 1))
+            moves.append((m + 2, k + 1, [*sums, []]))
+        for n, j, grown in moves:
+            if m - k == d:  # the move used the last descent: members, which cannot grow
+                counts[n] = counts.get(n, 0) + sum(map(sum, grown))
+            elif (n, j) in held:
+                held[n, j] = [list(map(operator.add, old, new)) for old, new in zip(held[n, j], grown)]
+            else:
+                held[n, j] = grown
     return counts
 
 
@@ -268,17 +263,17 @@ def count_basis(d: int, n: int) -> int:
     Counted left to right by relative rank, from the window rules of
     ``is_minimal``: the first and last pairs descend, no two ascents are
     adjacent, an ascent's top exceeds the value two places back, and the
-    value after an ascent lies above its bottom.  A prefix of length m is
-    summarized by its ascent count k, whether its last pair ascended, the
-    rank b of its last value, and a column over the rank a of its
-    second-last value.  Appending a value of rank r (1..m+1) shifts the old
-    ranks >= r up by one.  A member has exactly n-1-d ascents, so the
-    prefix's slack d - m + 2k - (n-1-d) counts the descents it has left
-    beyond the ascents it still owes.  A descent needs slack >= 0; an
-    ascent, which owes one more descent, needs slack >= -1 and k < n-1-d.
-    So no prefix reaches d descents before length n.  No member is
-    materialized.  This is the band scan of ``count_table`` with the band
-    narrowed to n.
+    value after an ascent lies above its bottom.  Only prefixes that end in
+    a descent are kept, each summarized by its length m, its ascent count k
+    and the ranks a > b of its last two values.  A prefix grows by a
+    descent, or by an ascent and the descent after it; appending a value of
+    rank r (1..m+1) shifts the old ranks >= r up by one.  A member has
+    exactly n-1-d ascents, so the prefix's slack d - m + 2k - (n-1-d)
+    counts the descents it has left beyond the ascents it still owes.  A
+    descent needs slack >= 0; an ascent and its descent need slack >= -1
+    and k < n-1-d, since that descent has one more slack.  So no prefix
+    reaches d descents before length n.  No member is materialized.  This
+    is the band scan of ``count_table`` with the band narrowed to n.
 
     The sizes 2d-3..2d and d+1..d+8 are answered without the scan, with
     Cat(k) = C(2k, k)/(k+1):
@@ -334,11 +329,11 @@ def count_table(d: int) -> dict[int, int]:
     sizes d+1..d+8 and 2d-3..2d come from the closed forms of
     ``count_basis``.  The sizes d+9..2d-4 between them, non-empty from
     d = 13 on, are read off one left-to-right rank scan of that band
-    instead of one scan per size: at each length, the prefixes that have
-    just used their d-th descent are the members of that size.  Such a
-    prefix cannot grow (an ascent needs a later descent), so it is counted
-    and dropped.  The band's members have 8 to d-5 ascents, which is the
-    slack floor and the ascent cap of the scan.
+    instead of one scan per size: a move that uses a prefix's d-th descent
+    makes members of the length it reaches.  They cannot grow (an ascent
+    needs a later descent), so they are counted and dropped.  The band's
+    members have 8 to d-5 ascents, the slack floor and ascent cap of the
+    scan.
 
     >>> count_table(4)
     {5: 1, 6: 32, 7: 84, 8: 14}

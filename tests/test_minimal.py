@@ -224,7 +224,9 @@ class TestEnumerate:
 
 class TestCountBasis:
     def test_matches_composition_oracle(self):
-        # Both rank counters, the per-size scan and the one-scan table.
+        # Both rank counters, the per-size scan and the one-scan table, on
+        # every size to d = 11 and on two of the band sizes d+9..2d-4,
+        # which only the scan answers.
         for d in range(1, 12):
             table = count_table(d)
             assert list(table) == list(range(d + 1, 2 * d + 1))
@@ -232,6 +234,8 @@ class TestCountBasis:
                 want = composition_count(d, n)
                 assert count_basis(d, n) == want, (d, n)
                 assert table.get(n, 0) == want, (d, n)
+        for d, n in [(13, 22), (14, 24)]:
+            assert count_basis(d, n) == count_table(d)[n] == composition_count(d, n), (d, n)
 
     def test_table_equals_count_basis_to_d_20(self):
         # A scan holds only the sizes that have members: every size for a
