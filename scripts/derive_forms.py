@@ -41,12 +41,17 @@ P_i (Stanley, EC1 4.7).  The tests also pin every row against the scan
 (``TestCountBasis``).  The script never calls ``count_basis``, which reads
 the table it derives, only ``_rank_scan``.
 
+Each row comes from one scan, at the largest d it checks.  Every prefix
+that scan takes is a member of B_d' for its own d' <= d descents, so the
+scan of the size d + j (its members have j - 1 ascents) yields the size
+d' + j slice of every d' <= d at once.
+
 It prints the table as a Python literal equal to the one ``permdl.minimal``
 holds: per row, a common denominator and the integer coefficients of each
-P_i times it, lowest degree first.  The eight rows take about 20 s (Python
-3.11, 2-core VM), nearly all of it in rows 7 and 8 (about 4 s and 12 s):
-their scans up to d = 84 and d = 108 and their exact solves over 70 and 92
-unknowns.
+P_i times it, lowest degree first.  The eight rows take about 4.5 s
+(Python 3.11, 2-core VM), most of it in rows 7 and 8 (about 1 s and
+2.5 s), and nearly all of that in their exact solves over 70 and 92
+unknowns: their scans, at d = 84 and d = 108, take 0.13 s and 0.28 s.
 
 Examples:
     python scripts/derive_forms.py
@@ -87,7 +92,8 @@ def derive_row(j: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     unknowns = len(terms)
     last_fit = j + unknowns + 2
     ds = range(j, max(last_fit + 3, 2 * j + unknowns) + 1)
-    counts = {d: _rank_scan(d, d + j)[d + j] for d in ds}
+    # Every d' in ds from the scan at the largest: size d' + j has j - 1 ascents at each d'.
+    counts = {e: count for e, m, count in _rank_scan(ds[-1], ds[-1] + j) if m - e == j}
     fit = ds[: last_fit - j + 1]
     solution = solve([[Fraction(d**k * i**d) for i, k in terms] for d in fit], [Fraction(counts[d]) for d in fit])
     coeffs = dict(zip(terms, solution))

@@ -209,16 +209,19 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 
 def scenario_from_json(obj: dict) -> Scenario:
-    """Parse and validate the wire format; replaying must reproduce ``end``."""
+    """Parse and validate the wire format, converting nothing; replaying must reproduce ``end``."""
     try:
-        n = int(obj["n"])
-        steps = tuple(DuplicationStep(frozenset(int(v) for v in kept)) for kept in obj["steps"])
-        end = Permutation(tuple(int(v) for v in obj["end"]))
+        n, steps, end = obj["n"], obj["steps"], obj["end"]
+        if not all(type(v) is list for v in itertools.chain((steps, end), steps)):
+            raise TypeError("steps, each kept set and end must be lists")
+        if not all(type(v) is int for v in itertools.chain((n,), end, *steps)):
+            raise TypeError("n and every value must be integers")
+        end = Permutation(tuple(end))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scenario object: {exc}") from None
     if end.n != n:
         raise ValueError(f"end permutation has size {end.n}, expected {n}")
-    scenario = Scenario(identity(n), steps, end)
+    scenario = Scenario(identity(n), tuple(DuplicationStep(frozenset(kept)) for kept in steps), end)
     if replay(scenario) != end:
         raise ValueError("steps do not replay to the stated end permutation")
     return scenario

@@ -28,6 +28,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 from .perm import Permutation, descent_count
 from .posets import _slice_words, _unpack
@@ -171,29 +172,31 @@ def enumerate_basis(d: int, n: int) -> BasisSlice:
     return BasisSlice(d, n, tuple(map(Permutation._trusted, _unpack(rows, n))))
 
 
-def _rank_scan(d: int, lo: int, hi: int | None = None) -> dict[int, int]:
-    # Members of the sizes lo..hi (hi defaults to lo), {m: count} for the
-    # sizes m that have members, counted left to right by relative rank
-    # (see count_basis).  A member of size m has m-1-d ascents, so one in
-    # the band has at least `least` and at most `most`: the whole table
-    # d+1..2d takes 0 and d-1, a single size n takes n-1-d for both.  A
-    # prefix of length m with k ascents has slack = d - m + 2k - least,
-    # the descents it has left beyond the ascents it still owes.  Only
-    # prefixes that end in a descent are held: held[m, k] is a matrix
-    # whose row b = 1..m holds the ways to end in ranks a > b, a = b+1..m.
+def _rank_scan(d: int, lo: int, hi: int | None = None) -> Iterator[tuple[int, int, int]]:
+    # Counts minimal permutations by relative rank, left to right (see
+    # count_basis), for d descents and the sizes lo..hi (hi defaults to lo).
+    # A member of size m has m-1-d ascents, so one in the band has at least
+    # `least` and at most `most`: the whole table d+1..2d takes 0 and d-1, a
+    # single size n takes n-1-d for both.  A prefix of length m with k
+    # ascents has slack = d - m + 2k - least, the descents it has left beyond
+    # the ascents it still owes.  Only prefixes that end in a descent are
+    # held: held[m, k] is a matrix whose row b = 1..m holds the ways to end
+    # in ranks a > b, a = b+1..m.  Each is a member of B_d' for its d' = m-1-k
+    # descents: each class taken yields (d', m, count), and grows while d' < d.
     least = lo - 1 - d
     most = (lo if hi is None else hi) - 1 - d
-    # The only prefix of length 2 is the descent 2 1, a member when d = 1.
-    counts = {2: 1} if d == 1 and least == 0 else {}
     held = {(2, 0): [[1], []]}
     while held:
         m, k = key = min(held)  # the shortest, so every move into it is in
         rows = held.pop(key)
+        totals = list(map(sum, rows))
+        yield m - 1 - k, m, sum(totals)
+        if m - 1 - k == d:
+            continue
         slack = d - m + 2 * k - least
         moves = []
         if slack >= 0:
             # A descent, to rank r <= b: row r gets row b's total at a = b+1.
-            totals = list(map(sum, rows))
             moves.append((m + 1, k, [totals[r:] for r in range(m + 1)]))
         if slack >= -1 and k < most:
             # An ascent to rank s > a, then a descent to rank r, b < r <= s,
@@ -205,13 +208,8 @@ def _rank_scan(d: int, lo: int, hi: int | None = None) -> dict[int, int]:
             sums = itertools.accumulate(across, lambda x, y: [*map(operator.add, x[1:], y)], initial=[0] * (m + 1))
             moves.append((m + 2, k + 1, [*sums, []]))
         for n, j, grown in moves:
-            if m - k == d:  # the move used the last descent: members, which cannot grow
-                counts[n] = counts.get(n, 0) + sum(map(sum, grown))
-            elif (n, j) in held:
-                held[n, j] = [list(map(operator.add, old, new)) for old, new in zip(held[n, j], grown)]
-            else:
-                held[n, j] = grown
-    return counts
+            old = held.get((n, j))
+            held[n, j] = grown if old is None else [list(map(operator.add, a, b)) for a, b in zip(old, grown)]
 
 
 # The slices n = d + j, j = 1..8: count_basis(d, d + j) is the sum of
@@ -319,7 +317,7 @@ def count_basis(d: int, n: int) -> int:
     if n - d <= len(_FEW_ASCENTS):
         den, polys = _FEW_ASCENTS[n - d - 1]
         return sum(i**d * _horner(q, d) for i, q in enumerate(polys, 1)) // den
-    return _rank_scan(d, n)[n]
+    return next(count for e, _, count in _rank_scan(d, n) if e == d)
 
 
 def count_table(d: int) -> dict[int, int]:
@@ -329,11 +327,10 @@ def count_table(d: int) -> dict[int, int]:
     sizes d+1..d+8 and 2d-3..2d come from the closed forms of
     ``count_basis``.  The sizes d+9..2d-4 between them, non-empty from
     d = 13 on, are read off one left-to-right rank scan of that band
-    instead of one scan per size: a move that uses a prefix's d-th descent
-    makes members of the length it reaches.  They cannot grow (an ascent
-    needs a later descent), so they are counted and dropped.  The band's
-    members have 8 to d-5 ascents, the slack floor and ascent cap of the
-    scan.
+    instead of one scan per size.  Each prefix class the scan takes is a
+    slice of B_d' for its own d' <= d descents; the table keeps those with
+    d' = d, which the scan grows no further: the band's members, with 8 to
+    d-5 ascents, the slack floor and ascent cap of the scan.
 
     >>> count_table(4)
     {5: 1, 6: 32, 7: 84, 8: 14}
@@ -343,7 +340,7 @@ def count_table(d: int) -> dict[int, int]:
     if d < 1:
         raise ValueError("d must be at least 1")
     band = range(d + len(_FEW_ASCENTS) + 1, 2 * d - 3)
-    scanned = _rank_scan(d, band[0], band[-1]) if band else {}
+    scanned = {m: count for e, m, count in _rank_scan(d, band[0], band[-1]) if e == d} if band else {}
     return {n: scanned[n] if n in band else count_basis(d, n) for n in range(d + 1, 2 * d + 1)}
 
 

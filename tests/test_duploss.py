@@ -256,6 +256,13 @@ class TestScenarioJson:
             {"n": 3, "steps": [[1]], "end": 5},
             {"n": 3, "steps": [5], "end": [1, 2, 3]},
             {"n": 3, "steps": [[1]], "end": [2, 1]},
+            # Values are never converted: a float, bool or string is refused.
+            {"n": 3, "steps": [[2.7]], "end": [2, 1, 3]},
+            {"n": 3.9, "steps": [[2]], "end": [2, 1, 3]},
+            {"n": 3, "steps": [[2]], "end": [2.5, 1.2, 3.9]},
+            {"n": 3, "steps": "2", "end": [2, 1, 3]},
+            {"n": 3, "steps": [[2]], "end": "213"},
+            {"n": True, "steps": [], "end": [1]},
         ):
             with pytest.raises(ValueError):
                 scenario_from_json(data)

@@ -41,8 +41,13 @@ from helpers import (
 
 # The rows n = d+1 .. d+ROWS of the closed-form table.
 ROWS = len(minimal._FEW_ASCENTS)
-# Slices that more than one test pins against the scan are scanned once.
-scanned = functools.cache(_rank_scan)
+
+
+@functools.cache
+def scanned() -> dict[tuple[int, int], int]:
+    # {(d, n): count} for every slice with d <= 60, from one scan of the
+    # whole band at d = 60 (about 1 s), against which the closed forms are pinned.
+    return {(e, m): count for e, m, count in _rank_scan(60, 61, 120)}
 
 
 def closed_form_slice_count(d: int) -> int:
@@ -209,7 +214,7 @@ class TestEnumerate:
         # counted against the rank scan.
         for d, n in [(7, 11), (7, 13), (11, 22)]:
             words = [p.values for p in enumerate_basis(d, n).members]
-            assert len(words) == _rank_scan(d, n)[n]
+            assert len(words) == scanned()[d, n]
             assert all(a < b for a, b in zip(words, words[1:]))
             assert all(_window_failure(w, d) is None for w in words)
 
@@ -238,19 +243,21 @@ class TestCountBasis:
             assert count_basis(d, n) == count_table(d)[n] == composition_count(d, n), (d, n)
 
     def test_table_equals_count_basis_to_d_20(self):
-        # A scan holds only the sizes that have members: every size for a
-        # table, and just n for a target n.
+        # Every count a scan yields is a slice of B_d' for some d' <= d, and
+        # the only size with d descents a scan of one size n yields is n.
         for d in range(1, 21):
             table = count_table(d)
             assert table == {n: count_basis(d, n) for n in range(d + 1, 2 * d + 1)}, d
             for n in table:
-                assert _rank_scan(d, n) == {n: table[n]}, (d, n)
+                yields = list(_rank_scan(d, n))
+                assert all(count == count_basis(e, m) for e, m, count in yields), (d, n)
+                assert [(m, count) for e, m, count in yields if e == d] == [(n, table[n])], (d, n)
 
     def test_table_equals_the_full_band_scan(self):
         # The closed forms and the band scan of count_table against one
         # scan of every size d+1..2d.
         for d in [*range(1, 31), 40]:
-            assert count_table(d) == _rank_scan(d, d + 1, 2 * d), d
+            assert count_table(d) == {m: count for e, m, count in _rank_scan(d, d + 1, 2 * d) if e == d}, d
 
     def test_table_scans_only_the_open_band(self, monkeypatch):
         calls = []
@@ -277,27 +284,29 @@ class TestCountBasis:
 
     def test_closed_forms_to_d_60(self):
         # count_basis answers these sizes in closed form; the scan is the oracle.
+        scan = scanned()
         for d in range(1, 61):
-            assert scanned(d, d + 1)[d + 1] == count_basis(d, d + 1) == 1
-            assert scanned(d, d + 2).get(d + 2, 0) == count_basis(d, d + 2) == closed_form_slice_count(d)
-            if 2 <= d <= 40:  # scanning on to d = 60 would add about 2 s
+            assert scan[d, d + 1] == count_basis(d, d + 1) == 1
+            assert scan.get((d, d + 2), 0) == count_basis(d, d + 2) == closed_form_slice_count(d)
+            if d >= 2:
                 want = 2 ** (d - 2) * comb(2 * d - 1, d - 2)
-                assert _rank_scan(d, 2 * d - 1)[2 * d - 1] == count_basis(d, 2 * d - 1) == want
-            assert _rank_scan(d, 2 * d)[2 * d] == count_basis(d, 2 * d) == catalan(d)
+                assert scan[d, 2 * d - 1] == count_basis(d, 2 * d - 1) == want
+            assert scan[d, 2 * d] == count_basis(d, 2 * d) == catalan(d)
 
     # The fitted rows d+j of the table and the guessed 2d-3 and 2d-2 forms
-    # are pinned against the scan on every d they answer up to 40, and at
-    # 60; rows 1 and 2 are scanned to d = 60 in test_closed_forms_to_d_60.
+    # are pinned against the scan on every d they answer up to 60; rows 1
+    # and 2 are pinned in test_closed_forms_to_d_60.
     @pytest.mark.parametrize(
         "size",
         [*(lambda d, j=j: d + j for j in range(3, ROWS + 1)), lambda d: 2 * d - 3, lambda d: 2 * d - 2],
         ids=[*(f"d+{j}" for j in range(3, ROWS + 1)), "2d-3", "2d-2"],
     )
     def test_guessed_forms_match_the_scan(self, size):
-        for d in [*range(1, 41), 60]:
+        scan = scanned()
+        for d in range(1, 61):
             n = size(d)
             if d < n <= 2 * d:
-                assert scanned(d, n)[n] == count_basis(d, n), d
+                assert scan[d, n] == count_basis(d, n), d
 
     @pytest.mark.parametrize("j", range(1, ROWS + 1))
     def test_each_row_matches_the_scan_where_feasible(self, j):
@@ -305,9 +314,10 @@ class TestCountBasis:
         # row j at d <= j + 3; the row itself is pinned on its whole
         # feasible range d >= j here, evaluated without count_basis.
         den, polys = minimal._FEW_ASCENTS[j - 1]
-        for d in [*range(j, 41), 60]:
+        scan = scanned()
+        for d in range(j, 61):
             total = sum(i**d * sum(c * d**k for k, c in enumerate(q)) for i, q in enumerate(polys, 1))
-            assert divmod(total, den) == (scanned(d, d + j)[d + j], 0), d
+            assert divmod(total, den) == (scan[d, d + j], 0), d
 
     def test_2d_minus_3_is_the_guessed_form(self):
         for d in range(4, 201):

@@ -4,7 +4,7 @@ Each script runs in its own interpreter with ``src`` on ``PYTHONPATH``, as a
 user would run it from a checkout, and must exit 0 with one line per trial or
 table row, and ``basis_counts.py`` refuses ``--bfile`` without ``--series``
 and prints each ``--series`` line from ``count_basis``.
-``derive_forms.py`` derives rows 1..4 of the closed-form table of
+``derive_forms.py`` derives rows 1..6 of the closed-form table of
 ``count_basis`` again and must print rows equal to those ``permdl.minimal``
 holds.
 ``cli_digest.py``, loaded in this process with its corpus cut to a few argv,
@@ -73,13 +73,13 @@ def test_basis_counts_series_matches_count_basis():
 def test_derive_forms_reproduces_the_table():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "derive_forms.py"), "--max-j", "4"],
+        [sys.executable, str(ROOT / "scripts" / "derive_forms.py"), "--max-j", "6"],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 0, out.stderr
     name, _, literal = out.stdout.partition(" = ")
     assert name == "_FEW_ASCENTS"
-    assert ast.literal_eval(literal) == _FEW_ASCENTS[:4]
+    assert ast.literal_eval(literal) == _FEW_ASCENTS[:6]
 
 
 def test_cli_digest_compares_runs(tmp_path, capsys, monkeypatch):
