@@ -43,7 +43,9 @@ of the (13, 15) slice (32,556 members, two text chunks) whole and cut at
 20,000, the plain (7, 11) and (15, 17) listings, the one-member
 (255, 256) and (65535, 65536) slices in plain, json and csv, whole and
 with ``--limit 1`` (two- and four-byte digits), the refusals, and values
-of 5,000 digits in ``stats``, ``bijection phi1`` and ``poset --composition``.
+of 5,000 digits in ``stats``, ``bijection phi1`` and ``poset --composition``,
+and ``stats`` and ``scenario`` (plain and json) on one host spelled with a
+sign, a comma, leading zeros, a fullwidth digit and an underscore.
 It also holds the flags a request would ignore, which are usage errors:
 ``stats --grid --format json|csv`` for each permutation of ``PERMS``, and
 ``bijection phi1|phi2 --invert`` beside ``-d`` (phi1 with its member's own
@@ -52,7 +54,7 @@ listing floor take about 13 s or forever on
 (``enumerate -d 500000 -n 1000000``, ``-d 500000 -n 999999``,
 ``-d 1000000000 -n 2000000000``) are left out, so the corpus runs on those
 checkouts too; ``-d 182 -n 186`` (about 5 s there) is in.
-The corpus, 3,278 argv, takes about 4 s (Python 3.11, 2-core VM), of
+The corpus, 3,281 argv, takes about 4 s (Python 3.11, 2-core VM), of
 which the trees of depths 11 and 12 take about 0.14 s and 0.3 s.
 """
 
@@ -123,6 +125,11 @@ LONG_TOKENS = [
     ["bijection", "phi1", "-d", "3", "1," + "9" * 5000],
     ["poset", "--composition", "2," + "9" * 5000, "--format", "json"],
 ]
+
+# One host of 12 values whose tokens do not all read as str(value): the
+# answers name every value canonically.
+NON_CANONICAL = "+6, 9 08 4 1 3 7 \uff12 5 1_0 12 11"
+SPELLINGS = [["stats", NON_CANONICAL], ["scenario", NON_CANONICAL], ["scenario", NON_CANONICAL, "--format", "json"]]
 
 # A json listing past one text chunk of 16,384 lines, whole and cut.
 JSON_LISTINGS = [
@@ -205,7 +212,7 @@ def corpus() -> list[list[str]]:
         out += [["bijection", name, "1,2"], ["bijection", name, "-d", "3", "1,2"], ["bijection", name, "--invert", "1 2 3"]]
     out += [["bijection", "phi1", "", "-d", "3"], ["bijection", "phi2", " ", "-d", "3"]]
     out += [["bijection", "phi1", "--invert", "8 5 4 3 9 7 6 2 1", "-d", "7"], ["bijection", "phi2", "--invert", "7 6 2 1 5 4 3", "-d", "99"]]
-    return out + DIAGONAL_COUNTS + JSON_LISTINGS + LARGE_LISTINGS + WIDE_LISTINGS + REFUSALS + LARGE_COUNTS + LONG_TOKENS
+    return out + DIAGONAL_COUNTS + JSON_LISTINGS + LARGE_LISTINGS + WIDE_LISTINGS + REFUSALS + LARGE_COUNTS + LONG_TOKENS + SPELLINGS
 
 
 def key(arg: str) -> str:

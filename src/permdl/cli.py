@@ -48,16 +48,9 @@ from .bijections import (
     phi1_inverse,
     phi2,
 )
-from .duploss import (
-    DuplicationStep,
-    _synthesis,
-    apply_step,
-    min_steps,
-    random_evolution,
-    scenario_to_json,
-)
+from .duploss import _synthesis, apply_step, random_evolution, scenario_to_json
 from .minimal import count_basis, count_table, is_minimal
-from .perm import _integers, descents, maximal_runs, parse_permutation
+from .perm import _integers, _parse_spelled, descents, maximal_runs, parse_permutation
 from .posets import (
     DescentComposition,
     _line_chunks,
@@ -83,11 +76,16 @@ def _refuse_over(amount: int, what: str, holder: str = "a request", hint: str = 
         raise ValueError(f"{what}, more than the {MAX_LISTED} {holder} may hold{hint}")
 
 
-def _word_renderer(n: int) -> Callable[[Iterable[int]], str]:
+def _word_renderer(
+    n: int, values: Sequence[int] = (), tokens: list[str] | None = None
+) -> Callable[[Iterable[int]], str]:
     # Renders words over 1..n through one table of value names, so a value
     # shared by many words (the states of a scenario) is turned into text
-    # once.
-    names = [str(v) for v in range(n + 1)]
+    # once.  Given a permutation's values and its tokens, each already
+    # str(value), the table holds those tokens, scattered by value.
+    names = [str(v) for v in range(n + 1)] if tokens is None else [""] * (n + 1)
+    for v, tok in zip(values, tokens or ()):
+        names[v] = tok
     return lambda word: " ".join(map(names.__getitem__, word))
 
 
@@ -101,11 +99,11 @@ def _emit(lines: Iterable[str]) -> None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    p = parse_permutation(args.perm)
+    p, tokens = _parse_spelled(args.perm)
     if args.grid:
         _refuse_over(p.n * p.n, f"a grid of {p.n} values has {p.n * p.n} cells")
     ds = descents(p)
-    cost = min_steps(p)
+    cost = ds.count.bit_length()  # min_steps without a second descent scan
     if args.format == "json":
         print(
             json.dumps(
@@ -119,9 +117,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    # One list of names serves the permutation and its runs: a run ends
-    # after each descent position.
-    names = list(map(str, p.values))
+    # One list of names, the input's own tokens when each reads str(value),
+    # serves the permutation and its runs: a run ends after each descent.
+    names = list(map(str, p.values)) if tokens is None else tokens
     perm_text = " ".join(names)
     for i in ds.positions:
         names[i - 1] += " |"
@@ -253,34 +251,37 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _scenario_lines(
-    steps: Sequence[DuplicationStep], states: Iterable[str], render: Callable[[Iterable[int]], str]
+    kept_sets: Iterable[Iterable[int]], states: Iterable[str], render: Callable[[Iterable[int]], str]
 ) -> Iterator[str]:
-    # The states come from the caller, each rendered once, the start first:
-    # one step's result is the next step's start and, after the last step,
-    # the end.  Only the two states of the current line are held.
+    # The sorted kept sets and the states come from the caller, each state
+    # rendered once, the start first: one step's result is the next step's
+    # start and, after the last step, the end.  Only two states are held.
     states = iter(states)
     before = next(states)
-    for i, (step, after) in enumerate(zip(steps, states), start=1):
-        kept = render(sorted(step.kept_first)) or "-"
+    for i, (kept_set, after) in enumerate(zip(kept_sets, states), start=1):
+        kept = render(kept_set) or "-"
         yield f"step {i}: keep {kept} | {before} -> {after}"
         before = after
     yield f"end: {before}"
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    target = parse_permutation(args.perm)
-    scenario, states = _synthesis(target)
+    target, tokens = _parse_spelled(args.perm)
+    states = _synthesis(target)
+    # The step into a state of k runs keeps its first ceil(k/2) runs, each
+    # sorted, so one sort merges them into the list scenario_to_json gives.
+    kept_sets = (sorted(itertools.chain.from_iterable(runs[: (len(runs) + 1) // 2])) for runs in states[1:])
     if args.format == "json":
-        print(json.dumps(scenario_to_json(scenario)))
+        print(json.dumps({"n": target.n, "steps": list(kept_sets), "end": list(target.values)}))
         return 0
-    # Every state holds the values 1..n, so one table names them all.  The
-    # states come as their runs, laid end to end here; the last is the
-    # target, whose text is already at hand.
-    render = _word_renderer(target.n)
-    shown = render(target)
-    _emit([f"target: {shown}", f"steps: {len(scenario.steps)}"])
+    # Every state holds the values 1..n, so one table names them all (the
+    # input's own tokens, when exact).  The states come as their runs, laid
+    # end to end here; the last is the target, already spelled.
+    render = _word_renderer(target.n, target.values, tokens)
+    shown = render(target) if tokens is None else " ".join(tokens)
+    _emit([f"target: {shown}", f"steps: {len(states) - 1}"])
     words = map(itertools.chain.from_iterable, states[:-1])
-    _emit(_scenario_lines(scenario.steps, itertools.chain(map(render, words), [shown]), render))
+    _emit(_scenario_lines(kept_sets, itertools.chain(map(render, words), [shown]), render))
     return 0
 
 
@@ -296,7 +297,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     _emit([f"n: {n}", f"steps: {args.steps}", f"seed: {args.seed}"])
     render = _word_renderer(n)
     states = itertools.accumulate(scenario.steps, apply_step, initial=scenario.start)
-    _emit(_scenario_lines(scenario.steps, map(render, states), render))
+    _emit(_scenario_lines((sorted(step.kept_first) for step in scenario.steps), map(render, states), render))
     return 0
 
 
@@ -319,7 +320,7 @@ def cmd_bijection_dyck(args: argparse.Namespace) -> int:
 
 
 def _resolve_subset(args: argparse.Namespace) -> NonIntervalSubset:
-    subset = NonIntervalSubset(args.descents, frozenset(_integers(args.arg)))
+    subset = NonIntervalSubset(args.descents, frozenset(_integers(args.arg)[1]))
     _refuse_over(subset.d + 2, f"a d={subset.d} member has {subset.d + 2} values")
     return subset
 
@@ -408,7 +409,7 @@ def cmd_poset(args: argparse.Namespace) -> int:
     if args.ladder is not None:
         composition, size = None, 2 * args.ladder
     else:
-        composition = DescentComposition(tuple(_integers(args.composition)))
+        composition = DescentComposition(tuple(_integers(args.composition)[1]))
         size = composition.n
     _refuse_over(size, f"a poset has {size} nodes")
     poset = ladder(args.ladder) if composition is None else build_poset(composition)

@@ -18,8 +18,9 @@ Steps run as C-level passes over the word: ``apply_step`` splits it with
 ``itertools.compress`` and ``filterfalse`` on membership in the kept set,
 so hosts of 10^5 values cost no per-value Python loop.  The synthesis reads
 the target's runs once and then merges those sorted blocks of values round
-by round: it never rescans an intermediate word, and each intermediate
-state is just its round's blocks, which are its runs, laid end to end.
+by round: it never rescans an intermediate word, each intermediate state
+is just its round's blocks, which are its runs, laid end to end, and a step
+keeps the first half (rounded up) of the runs of the state it leads to.
 ``replay`` and every other route that is given steps rather than a target
 fold ``apply_step`` over them, and that replay is the oracle the
 synthesis's states are tested against.
@@ -129,29 +130,29 @@ def synthesize_scenario(target: Permutation) -> Scenario:
     therefore merge the blocks themselves, and the runs are read once, from
     ``target``.  Each merge is one sort of two sorted runs, which is linear,
     and the earlier permutation is its blocks concatenated, so every state
-    of the derivation comes out of the same loop (see ``_synthesis``).
+    of the derivation comes out of the same loop (see ``_synthesis``); each
+    step keeps the first ceil(k/2) runs of the k-run state it leads to.
     """
-    return _synthesis(target)[0]
+    kept = (itertools.chain.from_iterable(runs[: (len(runs) + 1) // 2]) for runs in _synthesis(target)[1:])
+    return Scenario(identity(target.n), tuple(DuplicationStep(frozenset(k)) for k in kept), target)
 
 
-def _synthesis(target: Permutation) -> tuple[Scenario, list[Sequence[Sequence[int]]]]:
-    # The scenario of ``synthesize_scenario`` and its states, the identity
-    # first and the target last.  Each state is given as its runs, the sorted
+def _synthesis(target: Permutation) -> list[Sequence[Sequence[int]]]:
+    # The states of ``synthesize_scenario``'s derivation, the identity first
+    # and the target last.  Each state is given as its runs, the sorted
     # blocks of one round: laid end to end they are the word a replay of the
     # steps passes through, and holding them spares a copy of n values per
-    # step.
+    # step.  The step into a state of k runs keeps the values of its first
+    # ceil(k/2) runs, so the steps are read off the states.
     blocks = maximal_runs(target).runs
-    steps: list[DuplicationStep] = []
     states = [blocks]
     while len(blocks) > 1:
         m = (len(blocks) + 1) // 2
-        steps.append(DuplicationStep(frozenset(itertools.chain.from_iterable(blocks[:m]))))
         pairs = itertools.zip_longest(blocks[:m], blocks[m:], fillvalue=())
         blocks = [sorted(itertools.chain(a, b)) for a, b in pairs]
         states.append(blocks)
-    steps.reverse()
     states.reverse()
-    return Scenario(identity(target.n), tuple(steps), target), states
+    return states
 
 
 class SplitMix64:
@@ -219,6 +220,8 @@ def scenario_from_json(obj: dict) -> Scenario:
         end = Permutation(tuple(end))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed scenario object: {exc}") from None
+    if any(len(set(kept)) != len(kept) for kept in steps):
+        raise ValueError("malformed scenario object: a kept set repeats a value")
     if end.n != n:
         raise ValueError(f"end permutation has size {end.n}, expected {n}")
     scenario = Scenario(identity(n), tuple(DuplicationStep(frozenset(kept)) for kept in steps), end)

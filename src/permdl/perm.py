@@ -117,19 +117,30 @@ def parse_permutation(text: str) -> Permutation:
     >>> parse_permutation("2,1").values
     (2, 1)
     """
-    values = _integers(text)
+    return _parse_spelled(text)[0]
+
+
+def _parse_spelled(text: str) -> tuple[Permutation, list[str] | None]:
+    # parse_permutation's answer, with its tokens when each already reads
+    # str(value), else None.  Of the ASCII tokens int() reads as v >= 1, str(v)
+    # alone is shortest (a sign, leading zero or underscore adds a character),
+    # so ASCII tokens as long in all as the digits of 1..n are exactly those.
+    tokens, values = _integers(text)
     if not values:
         raise ValueError("empty permutation input")
-    return Permutation(tuple(values))
+    p = Permutation(tuple(values))
+    digits, n = "".join(tokens), len(values)
+    exact = digits.isascii() and len(digits) == sum(n + 1 - 10**k for k in range(len(str(n))))
+    return p, tokens if exact else None
 
 
-def _integers(text: str) -> list[int]:
-    # Integers separated by commas and/or whitespace; callers refuse empty input.
+def _integers(text: str) -> tuple[list[str], list[int]]:
+    # Tokens and values of integers separated by commas and/or whitespace; callers refuse empty input.
     tokens = text.replace(",", " ").split()
     try:
-        return list(map(int, tokens))
+        return tokens, list(map(int, tokens))
     except ValueError:
-        return [_integer(tok) for tok in tokens]  # raises, naming the first bad token
+        return tokens, [_integer(tok) for tok in tokens]  # raises, naming the first bad token
 
 
 def _integer(tok: str) -> int:

@@ -24,12 +24,14 @@ from permdl import (
     generating_tree,
     minimal,
     non_interval_subsets,
+    parse_permutation,
     phi1,
     phi2,
     posets,
     random_evolution,
     scenario_to_json,
     slice_to_text,
+    synthesize_scenario,
 )
 from permdl.cli import main
 
@@ -658,6 +660,10 @@ class TestScenario:
         code, out, _ = run(capsys, "scenario", "2 1", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"n": 2, "steps": [[2]], "end": [2, 1]}
+        # The command writes the library's wire format from the synthesis's runs.
+        for host in ("1", "6 9 8 4 1 3 7 2 5", str(random_evolution(10**4, 6, 4).end)):
+            code, out, _ = run(capsys, "scenario", host, "--format", "json")
+            assert out == json.dumps(scenario_to_json(synthesize_scenario(parse_permutation(host)))) + "\n"
 
     def test_large_hosts_replay_line_by_line(self, capsys):
         n = 10**4
@@ -673,6 +679,35 @@ class TestScenario:
             assert steps == sum(a > b for a, b in zip(host, host[1:])).bit_length()
             assert len(lines) == steps + 3
             assert replay_rendered_scenario(lines[2:], n) == host
+
+
+class TestSpellings:
+    # The plain and csv texts name values by the input's own tokens only
+    # when every token already reads as str(value); any other spelling of
+    # the same host prints the canonical bytes.
+    HOST = "6 9 8 4 1 3 7 2 5 10 12 11"
+    SPELLINGS = [
+        HOST.replace(" ", ","),
+        HOST.replace(" ", ", "),
+        "  " + HOST.replace(" ", " \t  \n ") + "\n",
+        HOST.replace(" 2 ", " +2 "),
+        HOST.replace(" 2 ", " 02 "),
+        HOST.replace(" 2 ", " ２ "),
+        HOST.replace(" 10 ", " 1_0 "),
+        HOST.replace(" 10 ", " 010 ").replace("6 ", "+6 ", 1),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("stats", ()), ("stats", ("--format", "csv")), ("stats", ("--format", "json")),
+         ("scenario", ()), ("scenario", ("--format", "json"))],
+    )
+    def test_every_spelling_prints_the_canonical_bytes(self, capsys, command, flags):
+        want = run(capsys, command, self.HOST, *flags)
+        assert want[0] == 0
+        for text in self.SPELLINGS:
+            assert text != self.HOST
+            assert run(capsys, command, text, *flags) == want, text
 
 
 class TestEvolve:

@@ -129,14 +129,19 @@ class TestSynthesize:
     @staticmethod
     def check_against_rescan(p):
         # Same kept sets as the derivation that rebuilds and rescans every
-        # word, each replayed state has half its successor's runs, rounded
-        # up, and the states the synthesis reads off its sorted blocks are
-        # exactly the runs of the replayed ones, so the blocks laid end to
-        # end are the replayed words.
-        scenario, states = _synthesis(p)
-        assert synthesize_scenario(p) == scenario
+        # word, read off the states as the first half, rounded up, of the
+        # runs of the state each step leads to and equal to the scenario's;
+        # each replayed state has half its successor's runs, rounded up, and
+        # the states the synthesis reads off its sorted blocks are exactly
+        # the runs of the replayed ones, so the blocks laid end to end are
+        # the replayed words.
+        states = _synthesis(p)
+        scenario = synthesize_scenario(p)
         kept_sets = halving_by_rescan(p.values)
-        assert [step.kept_first for step in scenario.steps] == kept_sets
+        derived = [frozenset(itertools.chain.from_iterable(runs[: -(-len(runs) // 2)])) for runs in states[1:]]
+        assert derived == kept_sets
+        assert [step.kept_first for step in scenario.steps] == derived
+        assert scenario.start == identity(p.n) and scenario.end == p
         replayed = list(itertools.accumulate(scenario.steps, apply_step, initial=scenario.start))
         assert replayed[-1] == p
         assert [list(map(tuple, runs)) for runs in states] == [list(maximal_runs(q).runs) for q in replayed]
@@ -263,6 +268,8 @@ class TestScenarioJson:
             {"n": 3, "steps": "2", "end": [2, 1, 3]},
             {"n": 3, "steps": [[2]], "end": "213"},
             {"n": True, "steps": [], "end": [1]},
+            # A kept list that repeats a value is refused, not read as a set.
+            {"n": 2, "steps": [[1, 1]], "end": [1, 2]},
         ):
             with pytest.raises(ValueError):
                 scenario_from_json(data)

@@ -15,6 +15,7 @@ from permdl import (
     run_count,
     standardize,
 )
+from permdl.perm import _parse_spelled
 
 from helpers import standardized
 
@@ -98,6 +99,24 @@ class TestParse:
     @given(perms)
     def test_str_roundtrip(self, p):
         assert parse_permutation(str(p)).values == p.values
+
+    @given(st.integers(1, 120).flatmap(lambda n: st.permutations(list(range(1, n + 1)))), st.data())
+    def test_tokens_kept_only_when_each_reads_as_its_value(self, values, data):
+        # The length rule of _parse_spelled against the token-by-token
+        # definition: a drawn set of values is spelled in one other way that
+        # int() reads as the same value.
+        fullwidth = {ord(c): ord(c) + 0xFEE0 for c in "0123456789"}
+        way = data.draw(st.sampled_from([
+            lambda s: "+" + s,
+            lambda s: "0" + s,
+            lambda s: s.translate(fullwidth),
+            lambda s: s[0] + "_" + s[1:] if len(s) > 1 else s,
+        ]))
+        odd = data.draw(st.sets(st.integers(0, len(values) - 1)))
+        tokens = [way(str(v)) if i in odd else str(v) for i, v in enumerate(values)]
+        p, spelled = _parse_spelled(data.draw(st.sampled_from([" ", ",", " ,  "])).join(tokens))
+        assert p.values == tuple(values)
+        assert spelled == (tokens if tokens == [str(v) for v in values] else None)
 
 
 class TestStatistics:
